@@ -107,14 +107,32 @@ class PackedMessage {
     store(acc);
   }
 
+  std::uint8_t kind() const { return static_cast<std::uint8_t>(w_[0] & 0xff); }
+  std::uint8_t num_fields() const {
+    return static_cast<std::uint8_t>((w_[0] >> 8) & 0x7);
+  }
+
+  /// Extracts field `i` (< num_fields()) in place; `pool` is as for
+  /// `unpack`.  Equal to `unpack(pool).at(i)` without building a Message.
+  std::int64_t field(std::size_t i,
+                     const std::array<std::int64_t, 4>* pool) const {
+    const unsigned __int128 acc = load();
+    if ((acc & kWideBit) != 0)
+      return pool[static_cast<std::uint32_t>(acc >> kPayloadShift)][i];
+    const int width = field_width(num_fields());
+    const auto z = static_cast<std::uint64_t>(
+        acc >> (kPayloadShift + static_cast<int>(i) * width));
+    return unzigzag(width >= 64 ? z : z & ((std::uint64_t{1} << width) - 1));
+  }
+
   /// Decodes back to the 40-byte form.  `pool` is the network's overflow
   /// pool for the inbox generation this message was delivered in (unused
   /// by narrow messages, which is the overwhelmingly common case).
   Message unpack(const std::array<std::int64_t, 4>* pool) const {
     const unsigned __int128 acc = load();
     Message m;
-    m.kind = static_cast<std::uint8_t>(acc & 0xff);
-    m.num_fields = static_cast<std::uint8_t>((acc >> 8) & 0x7);
+    m.kind = kind();
+    m.num_fields = num_fields();
     if ((acc & kWideBit) != 0) {
       const auto index =
           static_cast<std::uint32_t>(acc >> kPayloadShift);
@@ -137,11 +155,11 @@ class PackedMessage {
   /// one bit chosen by `entropy` inside the narrow payload region, or — for
   /// field-less and wide messages, where payload bits are absent or alias a
   /// pool index — one kind bit.  The num_fields and wide bits are never
-  /// touched, so a corrupted message still decodes through `unpack` as a
-  /// well-formed (if wrong) Message.
+  /// touched, so a corrupted message still decodes through `unpack` and
+  /// `field` as a well-formed (if wrong) Message.
   void corrupt(std::uint64_t entropy) {
     unsigned __int128 acc = load();
-    const int nf = static_cast<int>((acc >> 8) & 0x7);
+    const int nf = num_fields();
     if (nf == 0 || (acc & kWideBit) != 0) {
       acc ^= static_cast<unsigned __int128>(1) << (entropy % 8);  // kind bit
     } else {
@@ -184,5 +202,21 @@ class PackedMessage {
 
 static_assert(sizeof(PackedMessage) == 16);
 static_assert(alignof(PackedMessage) == 4);
+
+/// A delivered message read in place: `kind` and `num_fields` are copied
+/// out of the packed header, and `at(i)` extracts one field on demand.
+/// Valid as long as `*packed` and `pool` are — for an inbox entry, the
+/// rest of the step that received it.
+struct MessageView {
+  std::uint8_t kind = 0;
+  std::uint8_t num_fields = 0;
+  const PackedMessage* packed = nullptr;
+  const std::array<std::int64_t, 4>* pool = nullptr;
+
+  std::int64_t at(std::size_t i) const {
+    PG_REQUIRE(i < num_fields, "message field index out of range");
+    return packed->field(i, pool);
+  }
+};
 
 }  // namespace pg::congest

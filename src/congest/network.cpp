@@ -86,8 +86,6 @@ void Network::set_threads(int t) {
   compute_bounds();
   tallies_.resize(static_cast<std::size_t>(threads_));
   for (detail::SendTally& tally : tallies_) tally.clear();
-  scratch_.resize(static_cast<std::size_t>(threads_));
-  for (detail::InboxScratch& scratch : scratch_) scratch.node = -1;
   step_errors_.assign(static_cast<std::size_t>(threads_), nullptr);
   fault_tallies_.assign(static_cast<std::size_t>(threads_),
                         detail::FaultTally{});
@@ -382,26 +380,29 @@ void Network::deliver() {
     ++stats_.rounds;
     return;
   }
-  // Fault disposition per candidate delivery, keyed on the *global*
-  // receiver-side slot — a pure function of (seed, round, slot), so the
-  // dropped/corrupted set is identical at any worker count or partition.
+  // Appends slot e's message to the receiver's inbox at arena[begin + k]
+  // unless the adversary drops it.  Fault disposition is keyed on the
+  // *global* receiver-side slot — a pure function of (seed, round, slot), so
+  // the dropped/corrupted set is identical at any worker count or partition.
   // `ft` is the calling worker's tally; the sums are folded below.
   const bool faults_on = faults_enabled_;
   const std::uint64_t fault_seed = fault_model_.seed;
   const std::uint64_t drop_thr = drop_threshold_;
   const std::uint64_t corrupt_thr = corrupt_threshold_;
-  auto dropped = [&](std::uint32_t e, detail::FaultTally& ft) {
-    if (!fault_fires(drop_thr, fault_seed, kFaultTagDrop, now, e))
-      return false;
-    ++ft.dropped;
-    return true;
-  };
-  auto maybe_corrupt = [&](std::uint32_t e, detail::PackedIncoming& in,
-                           detail::FaultTally& ft) {
-    if (!fault_fires(corrupt_thr, fault_seed, kFaultTagCorrupt, now, e))
+  auto put = [&](std::uint32_t e, std::uint32_t begin, std::uint32_t& k,
+                 const PackedMessage& msg, detail::FaultTally& ft) {
+    if (faults_on && fault_fires(drop_thr, fault_seed, kFaultTagDrop, now, e)) {
+      ++ft.dropped;
       return;
-    in.msg.corrupt(fault_hash(fault_seed, kFaultTagCorruptBit, now, e));
-    ++ft.corrupted;
+    }
+    detail::PackedIncoming& in = arena[begin + k++];
+    in.reply_slot = e - begin;
+    in.msg = msg;
+    if (faults_on &&
+        fault_fires(corrupt_thr, fault_seed, kFaultTagCorrupt, now, e)) {
+      in.msg.corrupt(fault_hash(fault_seed, kFaultTagCorruptBit, now, e));
+      ++ft.corrupted;
+    }
   };
   // Payload lookup for a slot known to hold a current-round unicast: the
   // staged list is sorted by (unique) slot, so the search always lands.
@@ -424,6 +425,17 @@ void Network::deliver() {
   // Each branch fills node v's inbox at the head of v's own slot range —
   // disjoint regions per node, so the range-parallel sweeps below need no
   // coordination and write the same bytes at any worker count.
+  auto run_sweep = [&](auto&& sweep) {
+    if (threads_ == 1) {
+      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
+      return;
+    }
+    ensure_pool();
+    pool_->run([this, &sweep](int t) {
+      const auto w = static_cast<std::size_t>(t);
+      sweep(bounds_[w], bounds_[w + 1], fault_tallies_[w]);
+    });
+  };
   if (4 * candidates <= reverse_slot_.size()) {
     // Sparse round: materialize the slot set and sort it.  Ascending slot
     // order yields both receiver order and per-receiver sender order,
@@ -434,7 +446,7 @@ void Network::deliver() {
         round_slots_.push_back(reverse_slot_[e]);
     }
     std::sort(round_slots_.begin(), round_slots_.end());
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
       auto it = std::lower_bound(round_slots_.begin(), round_slots_.end(),
                                  first_slot_[static_cast<std::size_t>(lo)]);
       std::size_t idx = static_cast<std::size_t>(it - round_slots_.begin());
@@ -445,98 +457,46 @@ void Network::deliver() {
         std::uint32_t k = 0;
         while (idx < round_slots_.size() && round_slots_[idx] < end) {
           const std::uint32_t e = round_slots_[idx++];
-          if (faults_on && dropped(e, ft)) continue;
-          detail::PackedIncoming& in = arena[begin + k];
-          const NodeId u = adj[e];
-          in.reply_slot = e - begin;
-          in.msg = bcast_round_[static_cast<std::size_t>(u)] == now
-                       ? bcast_msg_[static_cast<std::size_t>(u)]
-                       : unicast_msg(e);
-          if (faults_on) maybe_corrupt(e, in, ft);
-          ++k;
+          const auto u = static_cast<std::size_t>(adj[e]);
+          put(e, begin, k,
+              bcast_round_[u] == now ? bcast_msg_[u] : unicast_msg(e), ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
+    });
   } else if (round_unicasts_ == 0) {
     // Broadcast-heavy round (the common case): gather straight from the
     // per-sender buffers; the unicast slots were never touched.
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
         const std::uint32_t end = first_slot_[v + 1];
         std::uint32_t k = 0;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const NodeId u = adj[e];
-          if (bcast_round_[static_cast<std::size_t>(u)] == now) {
-            if (faults_on && dropped(e, ft)) continue;
-            detail::PackedIncoming& in = arena[begin + k];
-            in.reply_slot = e - begin;
-            in.msg = bcast_msg_[static_cast<std::size_t>(u)];
-            if (faults_on) maybe_corrupt(e, in, ft);
-            ++k;
-          }
+          const auto u = static_cast<std::size_t>(adj[e]);
+          if (bcast_round_[u] == now) put(e, begin, k, bcast_msg_[u], ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
+    });
   } else {
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
         const std::uint32_t end = first_slot_[v + 1];
         std::uint32_t k = 0;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const NodeId u = adj[e];
-          const PackedMessage* m = nullptr;
-          if (bcast_round_[static_cast<std::size_t>(u)] == now)
-            m = &bcast_msg_[static_cast<std::size_t>(u)];
+          const auto u = static_cast<std::size_t>(adj[e]);
+          if (bcast_round_[u] == now)
+            put(e, begin, k, bcast_msg_[u], ft);
           else if (slot_round_[e] == now)
-            m = &unicast_msg(e);
-          if (m != nullptr) {
-            if (faults_on && dropped(e, ft)) continue;
-            detail::PackedIncoming& in = arena[begin + k];
-            in.reply_slot = e - begin;
-            in.msg = *m;
-            if (faults_on) maybe_corrupt(e, in, ft);
-            ++k;
-          }
+            put(e, begin, k, unicast_msg(e), ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
+    });
   }
   // Empty all three round lists so the serial engine's buffer swap hands a
   // clean vector back to the worker tally (and the parallel inserts start
@@ -566,7 +526,6 @@ void Network::reset() {
   round_slots_.clear();
   round_bcasters_.clear();
   for (detail::SendTally& tally : tallies_) tally.clear();
-  for (detail::InboxScratch& scratch : scratch_) scratch.node = -1;
   for (std::exception_ptr& error : step_errors_) error = nullptr;
   std::fill(slot_round_.begin(), slot_round_.end(), -1);
   std::fill(unicast_round_.begin(), unicast_round_.end(), -1);

@@ -18,9 +18,11 @@
 // and the stamp betrays the second.  A broadcast stores its message *once*
 // in a per-sender buffer (O(1), not O(degree)); the delivery sweep — one
 // O(m) pass over each receiver's sorted adjacency range — gathers from
-// sender broadcast buffers and stamped unicast slots into a flat inbox
-// arena with per-node spans.  Rounds with no unicast at all (the common
-// case for the paper's algorithms) skip the unicast-slot checks entirely.
+// sender broadcast buffers and stamped unicast slots into a flat arena of
+// packed entries, which each step reads in place through `NodeView::inbox()`
+// (entries are valid for the step: keep copies, not pointers).  Rounds with
+// no unicast at all (the common case for the paper's algorithms) skip the
+// unicast-slot checks entirely.
 //
 // Delivery order is deterministic and documented: each node's inbox is
 // sorted by sender id, ascending (the sweep walks the receiver's sorted
@@ -80,20 +82,22 @@ namespace pg::congest {
 
 using NodeId = graph::VertexId;
 
+/// One delivered message, built on access from the packed inbox arena and
+/// valid (as are copies) for the rest of the step that received it.
 struct Incoming {
   NodeId from = -1;
   /// Position of `from` in the *receiver's* neighbor list.  Lets a node
   /// answer a message in O(1) via `NodeView::reply` / `send_slot`, without
   /// re-deriving the slot from the sender id.
   std::uint32_t reply_slot = 0;
-  Message msg;
+  MessageView msg;
 };
 
 namespace detail {
 
-/// The stored form of an inbox entry: 20 bytes instead of Incoming's 48.
-/// `from` is not stored — it is the receiver's `reply_slot`-th neighbor,
-/// recovered from the adjacency row the inbox is anchored to.
+/// The stored form of an inbox entry: 20 bytes.  `from` is not stored —
+/// it is the receiver's `reply_slot`-th neighbor, recovered from the
+/// adjacency row the inbox is anchored to.
 struct PackedIncoming {
   std::uint32_t reply_slot = 0;
   PackedMessage msg;
@@ -101,18 +105,52 @@ struct PackedIncoming {
 
 static_assert(sizeof(PackedIncoming) == 20);
 
-/// Per-worker decode buffer for `NodeView::inbox()`: the packed arena is
-/// expanded into full `Incoming` entries once per (node, round) and the
-/// span handed to the step points here.  Capacity is bounded by the
-/// largest inbox the worker has seen (O(max degree), not O(m)) and is
-/// reused across nodes, rounds, and pooled rebinds.
-struct InboxScratch {
-  std::vector<Incoming> items;
-  NodeId node = -1;
-  std::int64_t round = -1;
-};
-
 }  // namespace detail
+
+/// A node's inbox for the current round: its slice of the packed arena,
+/// sorted by sender id ascending.  Elements are `Incoming` values built on
+/// access, so keep a copy of an entry, never a pointer to one.
+class Inbox {
+ public:
+  class iterator {
+   public:
+    iterator(const detail::PackedIncoming* entry, const NodeId* adj,
+             const std::array<std::int64_t, 4>* pool)
+        : entry_(entry), adj_(adj), pool_(pool) {}
+    Incoming operator*() const {
+      const PackedMessage& m = entry_->msg;
+      return {adj_[entry_->reply_slot], entry_->reply_slot,
+              {m.kind(), m.num_fields(), &m, pool_}};
+    }
+    iterator& operator++() {
+      ++entry_;
+      return *this;
+    }
+    iterator operator+(std::size_t i) const {
+      return {entry_ + i, adj_, pool_};
+    }
+    bool operator==(const iterator& other) const {
+      return entry_ == other.entry_;
+    }
+
+   private:
+    const detail::PackedIncoming* entry_;
+    const NodeId* adj_;  // the receiver's adjacency row
+    const std::array<std::int64_t, 4>* pool_;
+  };
+
+  Inbox(iterator begin, std::uint32_t count) : begin_(begin), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  Incoming operator[](std::size_t i) const { return *(begin_ + i); }
+  iterator begin() const { return begin_; }
+  iterator end() const { return begin_ + count_; }
+
+ private:
+  iterator begin_;
+  std::uint32_t count_;
+};
 
 struct RoundStats {
   std::int64_t rounds = 0;
@@ -174,10 +212,10 @@ class NodeView {
   std::size_t n() const;
   std::span<const NodeId> neighbors() const;
   std::size_t degree() const { return neighbors().size(); }
-  /// This round's messages, sorted by sender id ascending.  The span stays
-  /// valid for the duration of the step (entries are decoded from the
-  /// packed arena into a per-worker buffer on first access per round).
-  std::span<const Incoming> inbox() const;
+  /// This round's messages, sorted by sender id ascending, read in place
+  /// from the packed arena.  The range and every entry taken from it stay
+  /// valid for the duration of the step.
+  Inbox inbox() const;
 
   /// Sends to one neighbor (delivered next round).  Resolves the neighbor's
   /// adjacency slot by binary search; prefer `send_slot`/`reply` in loops.
@@ -191,13 +229,11 @@ class NodeView {
 
  private:
   friend class Network;
-  NodeView(Network* net, NodeId id, detail::SendTally* tally,
-           detail::InboxScratch* scratch)
-      : net_(net), id_(id), tally_(tally), scratch_(scratch) {}
+  NodeView(Network* net, NodeId id, detail::SendTally* tally)
+      : net_(net), id_(id), tally_(tally) {}
   Network* net_;
   NodeId id_;
   detail::SendTally* tally_;
-  detail::InboxScratch* scratch_;
 };
 
 class Network {
@@ -278,22 +314,20 @@ class Network {
     if (threads_ == 1) {
       const auto num_nodes = static_cast<NodeId>(n());
       detail::SendTally& tally = tallies_[0];
-      detail::InboxScratch& scratch = scratch_[0];
       for (NodeId v = 0; v < num_nodes; ++v) {
         if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
           continue;
-        NodeView view(this, v, &tally, &scratch);
+        NodeView view(this, v, &tally);
         step(view);
       }
     } else {
       run_step_phase([this, &step](int t) {
         detail::SendTally& tally = tallies_[static_cast<std::size_t>(t)];
-        detail::InboxScratch& scratch = scratch_[static_cast<std::size_t>(t)];
         const NodeId hi = bounds_[static_cast<std::size_t>(t) + 1];
         for (NodeId v = bounds_[static_cast<std::size_t>(t)]; v < hi; ++v) {
           if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
             continue;
-          NodeView view(this, v, &tally, &scratch);
+          NodeView view(this, v, &tally);
           step(view);
         }
       });
@@ -428,31 +462,6 @@ class Network {
   /// Appends to the sending-generation overflow pool; returns the index.
   std::uint32_t push_wide(const Message& m);
 
-  /// Expands node v's packed inbox into the worker's scratch buffer (once
-  /// per round — repeat calls return the memoized span).
-  std::span<const Incoming> decode_inbox(NodeId v,
-                                         detail::InboxScratch& scratch) const {
-    if (scratch.node == v && scratch.round == stats_.rounds)
-      return {scratch.items.data(), scratch.items.size()};
-    const auto vi = static_cast<std::size_t>(v);
-    const std::uint32_t begin = first_slot_[vi];
-    const std::uint32_t count = inbox_count_[vi];
-    const detail::PackedIncoming* entries = inbox_arena_.data() + begin;
-    const NodeId* adj = graph_.adjacency_array().data() + begin;
-    const std::array<std::int64_t, 4>* wide = wide_inbox_.data();
-    scratch.items.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const detail::PackedIncoming& e = entries[i];
-      Incoming& in = scratch.items[i];
-      in.from = adj[e.reply_slot];
-      in.reply_slot = e.reply_slot;
-      in.msg = e.msg.unpack(wide);
-    }
-    scratch.node = v;
-    scratch.round = stats_.rounds;
-    return {scratch.items.data(), scratch.items.size()};
-  }
-
   /// Round prologue when a fault model or round limit is armed: enforces
   /// the round budget, then applies scheduled and hazard-rate crash-stops
   /// for the round about to execute.  Driver thread only.
@@ -539,7 +548,6 @@ class Network {
   int threads_ = 1;
   std::vector<NodeId> bounds_;
   std::vector<detail::SendTally> tallies_;
-  std::vector<detail::InboxScratch> scratch_;
   std::vector<std::exception_ptr> step_errors_;
   std::unique_ptr<util::WorkerPool> pool_;
 
@@ -567,8 +575,13 @@ inline std::span<const NodeId> NodeView::neighbors() const {
   return {adj + net_->first_slot_[v], adj + net_->first_slot_[v + 1]};
 }
 
-inline std::span<const Incoming> NodeView::inbox() const {
-  return net_->decode_inbox(id_, *scratch_);
+inline Inbox NodeView::inbox() const {
+  const auto v = static_cast<std::size_t>(id_);
+  const std::uint32_t begin = net_->first_slot_[v];
+  return {{net_->inbox_arena_.data() + begin,
+           net_->graph_.adjacency_array().data() + begin,
+           net_->wide_inbox_.data()},
+          net_->inbox_count_[v]};
 }
 
 inline void NodeView::send(NodeId neighbor, const Message& m) {

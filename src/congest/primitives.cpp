@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <optional>
 
 namespace pg::congest {
 
@@ -80,12 +81,13 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
         if (in.msg.kind == kBfsAdopt) tree.children[me].push_back(in.from);
       // Join the tree under the smallest-id announcer heard.
       if (tree.depth[me] == -1) {
-        const Incoming* best = nullptr;
+        // A copy, not a pointer: inbox entries are built by value.
+        std::optional<Incoming> best;
         for (const Incoming& in : node.inbox()) {
           if (in.msg.kind != kBfsJoin || in.msg.num_fields < 1) continue;
-          if (best == nullptr || in.from < best->from) best = &in;
+          if (!best || in.from < best->from) best = in;
         }
-        if (best != nullptr) {
+        if (best) {
           tree.parent[me] = best->from;
           tree.depth[me] = static_cast<int>(best->msg.at(0)) + 1;
           node.reply(*best, Message{kBfsAdopt, {}});

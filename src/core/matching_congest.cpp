@@ -1,7 +1,6 @@
 #include "core/matching_congest.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace pg::core {
 
@@ -37,9 +36,14 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
   // shared word.
   std::vector<char> matched(n, 0);
   std::vector<NodeId> partner(n, -1);
-  std::vector<std::map<NodeId, bool>> nbr_matched(n);
   std::vector<NodeId> proposed_to(n, -1);
-  std::vector<std::size_t> proposed_slot(n, 0);
+  // nbr_matched[offsets[v] + i] is set once v hears its i-th neighbor
+  // announce a match (each node writes only its own slot range).  Matched
+  // status only turns on, so v's first unmatched neighbor never moves
+  // left: first_open[v] is a monotone cursor, O(m) scanning in total.
+  const auto offsets = g.adjacency_offsets();
+  std::vector<char> nbr_matched(offsets.empty() ? 0 : offsets[n], 0);
+  std::vector<std::uint32_t> first_open(n, 0);
 
   // Termination: once no unmatched vertex has an unmatched neighbor, no
   // proposals are sent and the loop exits (checked globally, as usual).
@@ -49,20 +53,19 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
     // unmatched neighbor.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
+      char* heard = nbr_matched.data() + offsets[me];
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMatched) nbr_matched[me][in.from] = true;
+        if (in.msg.kind == kMatched) heard[in.reply_slot] = 1;
       proposed_to[me] = -1;
       if (matched[me] != 0) return;
       const auto nbrs = node.neighbors();  // ids are sorted ascending
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (!nbr_matched[me].count(nbrs[i])) {
-          proposed_to[me] = nbrs[i];
-          proposed_slot[me] = i;
-          break;
-        }
+      std::uint32_t i = first_open[me];
+      while (i < nbrs.size() && heard[i] != 0) ++i;
+      first_open[me] = i;
+      if (i < nbrs.size()) {
+        proposed_to[me] = nbrs[i];
+        node.send_slot(i, Message{kPropose, {}});
       }
-      if (proposed_to[me] != -1)
-        node.send_slot(proposed_slot[me], Message{kPropose, {}});
     });
     // Derived after the barrier instead of set from inside the step: many
     // nodes writing one shared bool is a data race even when every write

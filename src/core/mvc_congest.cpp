@@ -226,18 +226,20 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       if (in_r[me] == 0) return;
       NodeId chosen = -1;
       std::int64_t chosen_draw = -1;
-      std::vector<std::uint32_t> candidate_slots;
+      auto is_candidate_msg = [](const Incoming& in) {
+        return in.msg.kind == kCandidate && in.msg.num_fields >= 1;
+      };
       for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kCandidate || in.msg.num_fields < 1) continue;
-        candidate_slots.push_back(in.reply_slot);
-        if (in.msg.at(0) > chosen_draw ||
-            (in.msg.at(0) == chosen_draw && in.from > chosen)) {
-          chosen_draw = in.msg.at(0);
+        if (!is_candidate_msg(in)) continue;
+        const std::int64_t d = in.msg.at(0);
+        if (d > chosen_draw || (d == chosen_draw && in.from > chosen)) {
+          chosen_draw = d;
           chosen = in.from;
         }
       }
-      for (std::uint32_t c : candidate_slots)
-        node.send_slot(c, Message{kVote, {chosen}});
+      // Second pass over the same inbox, in the same (sender) order.
+      for (const Incoming& in : node.inbox())
+        if (is_candidate_msg(in)) node.reply(in, Message{kVote, {chosen}});
     });
 
     // Round 4: winners take their whole remaining neighborhood.

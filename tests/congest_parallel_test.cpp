@@ -93,11 +93,13 @@ std::pair<std::vector<InboxRecord>, RoundStats> run_schedule(
   for (int r = 0; r < rounds; ++r) {
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        per_node[me].push_back(
-            {r, node.id(), in.from, in.reply_slot, in.msg.kind,
-             {in.msg.fields.begin(),
-              in.msg.fields.begin() + in.msg.num_fields}});
+      for (const Incoming& in : node.inbox()) {
+        std::vector<std::int64_t> fields;
+        for (std::size_t i = 0; i < in.msg.num_fields; ++i)
+          fields.push_back(in.msg.at(i));
+        per_node[me].push_back({r, node.id(), in.from, in.reply_slot,
+                                in.msg.kind, std::move(fields)});
+      }
       const std::uint64_t h =
           mix(seed ^ mix(static_cast<std::uint64_t>(r) * 10007 + me));
       switch (h % 4) {
@@ -212,13 +214,11 @@ TEST(ParallelDeterminism, InboxesSortedBySenderAtEveryThreadCount) {
     net.set_threads(threads);
     for (int r = 0; r < 8; ++r) {
       net.round([&](NodeView& node) {
-        const Incoming* prev = nullptr;
+        NodeId prev = -1;
         for (const Incoming& in : node.inbox()) {
-          if (prev != nullptr)
-            EXPECT_LT(prev->from, in.from)
-                << "node " << node.id() << " round " << r << " threads "
-                << threads;
-          prev = &in;
+          EXPECT_LT(prev, in.from) << "node " << node.id() << " round " << r
+                                   << " threads " << threads;
+          prev = in.from;
         }
         const auto me = static_cast<std::uint64_t>(node.id());
         // Odd nodes broadcast, even nodes unicast to every third slot —

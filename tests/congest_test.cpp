@@ -1,12 +1,15 @@
-// Tests for the CONGEST simulator: delivery semantics, model enforcement
-// (bandwidth, one message per edge per direction), and the distributed
-// primitives (leader election, BFS tree, pipelined upcast/downcast).
+// Tests for the CONGEST simulator: the packed wire format and the in-place
+// inbox view, delivery semantics, model enforcement (bandwidth, one message
+// per edge per direction), and the distributed primitives (leader
+// election, BFS tree, pipelined upcast/downcast).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "congest/primitives.hpp"
@@ -33,6 +36,83 @@ TEST(Message, BandwidthFormula) {
   EXPECT_EQ(bandwidth_bits(16), 64);
   EXPECT_EQ(bandwidth_bits(17), 80);
   EXPECT_EQ(bandwidth_bits(1024), 160);
+}
+
+// Field values at and across each field-width boundary: for width w the
+// narrow encoding holds exactly [-2^(w-1), 2^(w-1) - 1].
+std::vector<std::int64_t> boundary_values(int width) {
+  std::vector<std::int64_t> values = {0, 1, -1, 7, -8};
+  if (width >= 64) {
+    values.push_back(std::numeric_limits<std::int64_t>::max());
+    values.push_back(std::numeric_limits<std::int64_t>::min());
+  } else {
+    const std::int64_t half = std::int64_t{1} << (width - 1);
+    for (const std::int64_t v : {half - 1, -half, half, -half - 1, 2 * half})
+      values.push_back(v);
+  }
+  return values;
+}
+
+TEST(PackedMessage, InPlaceFieldsMatchUnpackAtEveryWidthBoundary) {
+  int narrow = 0;
+  int wide = 0;
+  int corrupted = 0;
+  for (int nf = 0; nf <= 4; ++nf) {
+    const int width = PackedMessage::field_width(nf);
+    const std::int64_t half =
+        width >= 64 ? 0 : std::int64_t{1} << (width - 1);
+    const std::vector<std::int64_t> values = boundary_values(width);
+    // Field i of combination c takes values[(c + 3i) mod |values|], so
+    // every value appears in every field position.
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      Message m;
+      m.kind = static_cast<std::uint8_t>(200 + c);
+      bool fits = true;
+      for (int i = 0; i < nf; ++i) {
+        const std::int64_t v = values[(c + 3 * static_cast<std::size_t>(i)) %
+                                      values.size()];
+        m.fields[m.num_fields++] = v;
+        if (width < 64 && (v >= half || v < -half)) fits = false;
+      }
+      std::vector<std::array<std::int64_t, 4>> pool;
+      PackedMessage p;
+      ASSERT_EQ(p.try_pack(m), fits) << "nf " << nf << " combo " << c;
+      if (fits) {
+        ++narrow;
+      } else {
+        // Index 1, behind a decoy entry: the stored index must be honoured.
+        pool = {{}, m.fields};
+        p.pack_wide(m, 1);
+        ++wide;
+      }
+      auto expect_consistent = [&](const PackedMessage& q,
+                                   const char* what) {
+        const Message u = q.unpack(pool.data());
+        EXPECT_EQ(q.kind(), u.kind) << what;
+        EXPECT_EQ(q.num_fields(), u.num_fields) << what;
+        for (std::size_t i = 0; i < u.num_fields; ++i)
+          EXPECT_EQ(q.field(i, pool.data()), u.at(i))
+              << what << ": nf " << nf << " combo " << c << " field " << i;
+      };
+      expect_consistent(p, "intact");
+      const Message round_trip = p.unpack(pool.data());
+      EXPECT_EQ(round_trip.kind, m.kind);
+      EXPECT_EQ(round_trip.num_fields, m.num_fields);
+      for (int i = 0; i < nf; ++i)
+        EXPECT_EQ(p.field(static_cast<std::size_t>(i), pool.data()),
+                  m.fields[static_cast<std::size_t>(i)]);
+      for (const std::uint64_t entropy : {0ull, 5ull, 63ull, 64ull, 115ull,
+                                          0x9e3779b97f4a7c15ull}) {
+        PackedMessage q = p;
+        q.corrupt(entropy);
+        expect_consistent(q, "corrupted");
+        ++corrupted;
+      }
+    }
+  }
+  EXPECT_GT(narrow, 0);
+  EXPECT_GT(wide, 0);
+  EXPECT_GT(corrupted, 0);
 }
 
 TEST(Network, DeliversNextRound) {
@@ -204,6 +284,71 @@ TEST(Network, MixedUnicastAndBroadcastSameRound) {
     EXPECT_EQ(node.inbox()[1].msg.at(0), 60);
   });
   EXPECT_EQ(net.stats().messages, 2);
+}
+
+TEST(Network, InboxViewAgreesWithIterationAndCopiesOutliveTheLoop) {
+  // A star (n = 200, B = 128 bits) whose leaves all message the hub: even
+  // leaves broadcast one narrow field, odd leaves unicast four fields in
+  // [2^28, 2^29) — within B, too wide for the 29-bit narrow encoding — so
+  // half the hub's inbox is read through the overflow pool.
+  Network net(graph::star_graph(199));
+  auto wide_field = [](NodeId v, std::size_t i) {
+    return (std::int64_t{1} << 28) + 4 * std::int64_t{v} +
+           static_cast<std::int64_t>(i);
+  };
+  net.round([&](NodeView& node) {
+    const NodeId v = node.id();
+    if (v == 0) return;
+    if (v % 2 == 0) {
+      node.broadcast(Message{3, {-std::int64_t{v}}});
+    } else {
+      node.send(0, Message{4, {wide_field(v, 0), wide_field(v, 1),
+                               wide_field(v, 2), wide_field(v, 3)}});
+    }
+  });
+  bool hub_checked = false;
+  net.round([&](NodeView& node) {
+    const Inbox inbox = node.inbox();
+    std::vector<Incoming> kept;
+    for (const Incoming& in : inbox) kept.push_back(in);
+    EXPECT_EQ(kept.size(), inbox.size());
+    EXPECT_EQ(inbox.empty(), kept.empty());
+    EXPECT_EQ(inbox.empty(), inbox.begin() == inbox.end());
+    if (node.id() != 0) {
+      EXPECT_TRUE(inbox.empty());  // the hub sent nothing
+      return;
+    }
+    ASSERT_EQ(inbox.size(), 199u);
+    NodeId prev = -1;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      // `in` was copied out of the range-for above and is read here, after
+      // the loop: it must still be valid for the rest of the step.
+      const Incoming& in = kept[k];
+      const Incoming indexed = inbox[k];
+      EXPECT_EQ(indexed.from, in.from);
+      EXPECT_EQ(indexed.reply_slot, in.reply_slot);
+      EXPECT_EQ(indexed.msg.kind, in.msg.kind);
+      EXPECT_EQ(indexed.msg.num_fields, in.msg.num_fields);
+      EXPECT_LT(prev, in.from) << "inbox must be sorted by sender id";
+      prev = in.from;
+      EXPECT_EQ(node.neighbors()[in.reply_slot], in.from);
+      if (in.from % 2 == 0) {
+        EXPECT_EQ(in.msg.kind, 3);
+        ASSERT_EQ(in.msg.num_fields, 1);
+        EXPECT_EQ(in.msg.at(0), -std::int64_t{in.from});
+      } else {
+        EXPECT_EQ(in.msg.kind, 4);
+        ASSERT_EQ(in.msg.num_fields, 4);
+        for (std::size_t i = 0; i < 4; ++i) {
+          EXPECT_EQ(in.msg.at(i), wide_field(in.from, i));
+          EXPECT_EQ(indexed.msg.at(i), in.msg.at(i));
+        }
+      }
+      EXPECT_THROW(in.msg.at(in.msg.num_fields), PreconditionViolation);
+    }
+    hub_checked = true;
+  });
+  EXPECT_TRUE(hub_checked);
 }
 
 TEST(Network, RejectsDoubleBroadcast) {

@@ -3,6 +3,7 @@
 // algorithm/scenario names, r < 1, out-of-range epsilon must fail with a
 // clear message and exit code 2), and the run/sweep happy paths.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -385,7 +386,8 @@ class TempDir {
   TempDir() {
     static int counter = 0;
     path_ = std::filesystem::temp_directory_path() /
-            ("pg_cli_ingest_" + std::to_string(counter++));
+            ("pg_cli_ingest_" + std::to_string(counter++) + "_" +
+             std::to_string(static_cast<long>(::getpid())));
     std::filesystem::create_directories(path_);
   }
   ~TempDir() {
