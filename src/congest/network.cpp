@@ -71,7 +71,7 @@ std::size_t Network::buffer_bytes() const {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return bytes(first_slot_) + bytes(reverse_slot_) + bytes(slot_round_) +
-         bytes(round_staged_) + bytes(unicast_round_) + bytes(round_slots_) +
+         bytes(round_staged_) + bytes(unicast_round_) + bytes(receivers_) +
          bytes(round_bcasters_) + bytes(bcast_round_) + bytes(bcast_msg_) +
          bytes(inbox_arena_) + bytes(inbox_count_) + bytes(wide_send_) +
          bytes(wide_inbox_);
@@ -242,13 +242,13 @@ void Network::rebuild() {
   // they were filled above.
   fit_capacity(slot_round_, num_slots);
   fit_capacity(inbox_arena_, num_slots);
-  fit_capacity(round_slots_, num_slots);
   fit_capacity(round_staged_, num_slots);
   fit_capacity(unicast_round_, n);
   fit_capacity(bcast_round_, n);
   fit_capacity(bcast_msg_, n);
   fit_capacity(inbox_count_, n);
   fit_capacity(round_bcasters_, n);
+  fit_capacity(receivers_, n);
 
   // slot_round_ stays unallocated until the first unicast (see
   // init_unicast_buffers): broadcast-only algorithms never pay for it.
@@ -267,10 +267,10 @@ void Network::rebuild() {
 
   stats_ = RoundStats{};
   last_round_messages_ = 0;
-  round_unicasts_ = 0;
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
+  receivers_.clear();
+  counts_dense_ = false;
 
   // A rebind is a new cell: any installed adversary dies with the old
   // topology (the sweep runner re-installs per cell).
@@ -324,12 +324,10 @@ void Network::run_step_phase(const std::function<void(int)>& body) {
 void Network::merge_and_deliver() {
   // Fold the per-worker tallies in worker order.  Workers own contiguous
   // ascending node ranges and visit them in order, so this concatenation
-  // reproduces the serial engine's send sequences exactly — and because
-  // staged slots are unique within a round (send discipline), the sort
-  // below lands on the same order at any thread count.
+  // reproduces the serial engine's send sequences exactly: both round
+  // lists come out sender-ascending at any thread count.
   std::int64_t messages = 0;
   std::int64_t bits = 0;
-  round_unicasts_ = 0;
   if (threads_ == 1) {
     detail::SendTally& tally = tallies_[0];
     round_staged_.swap(tally.staged);  // O(1): both roles alternate buffers
@@ -348,14 +346,6 @@ void Network::merge_and_deliver() {
       tally.clear();
     }
   }
-  round_unicasts_ = static_cast<std::int64_t>(round_staged_.size());
-  std::sort(round_staged_.begin(), round_staged_.end(),
-            [](const detail::StagedUnicast& a, const detail::StagedUnicast& b) {
-              return a.slot < b.slot;
-            });
-  round_slots_.resize(round_staged_.size());
-  for (std::size_t i = 0; i < round_staged_.size(); ++i)
-    round_slots_[i] = round_staged_[i].slot;
   stats_.messages += messages;
   stats_.total_bits += bits;
   last_round_messages_ = messages;
@@ -365,7 +355,6 @@ void Network::merge_and_deliver() {
 void Network::deliver() {
   const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
   const NodeId* adj = graph_.adjacency_array().data();
-  const std::size_t n = this->n();
   detail::PackedIncoming* arena = inbox_arena_.data();
   // Rotate the wide-message generations: entries appended while this
   // round's steps were sending become the pool the delivered inboxes
@@ -373,18 +362,12 @@ void Network::deliver() {
   // once the counts are rewritten) is recycled as the next send pool.
   wide_inbox_.swap(wide_send_);
   wide_send_.clear();
-  if (last_round_messages_ == 0) {
-    // Quiet round (every quiescence loop's final round): nothing to sweep.
-    std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
-    if (faults_enabled_) ++stats_.faults.rounds_survived;
-    ++stats_.rounds;
-    return;
-  }
-  // Appends slot e's message to the receiver's inbox at arena[begin + k]
-  // unless the adversary drops it.  Fault disposition is keyed on the
-  // *global* receiver-side slot — a pure function of (seed, round, slot), so
-  // the dropped/corrupted set is identical at any worker count or partition.
-  // `ft` is the calling worker's tally; the sums are folded below.
+  // Appends a message to the inbox whose slot range starts at `begin`
+  // (count k) unless the adversary drops it.  Fault disposition is keyed
+  // on the *global* receiver-side slot e — a pure function of (seed,
+  // round, slot), so the dropped/corrupted set is identical at any worker
+  // count, partition, or delivery path.  `ft` is the calling worker's
+  // tally; the sums are folded below.
   const bool faults_on = faults_enabled_;
   const std::uint64_t fault_seed = fault_model_.seed;
   const std::uint64_t drop_thr = drop_threshold_;
@@ -404,70 +387,14 @@ void Network::deliver() {
       ++ft.corrupted;
     }
   };
-  // Payload lookup for a slot known to hold a current-round unicast: the
-  // staged list is sorted by (unique) slot, so the search always lands.
-  auto unicast_msg = [&](std::uint32_t e) -> const PackedMessage& {
-    const auto it = std::lower_bound(
-        round_staged_.begin(), round_staged_.end(), e,
-        [](const detail::StagedUnicast& s, std::uint32_t slot) {
-          return s.slot < slot;
-        });
-    return it->msg;
-  };
-  // The deliverable slots are exactly the recorded unicast slots plus every
-  // broadcaster's incident reverse slots; when that set is small relative
-  // to 2m, gather it directly instead of sweeping every slot.
-  std::size_t candidates = round_slots_.size();
-  for (NodeId b : round_bcasters_) {
-    const auto u = static_cast<std::size_t>(b);
-    candidates += first_slot_[u + 1] - first_slot_[u];
-  }
-  // Each branch fills node v's inbox at the head of v's own slot range —
-  // disjoint regions per node, so the range-parallel sweeps below need no
-  // coordination and write the same bytes at any worker count.
-  auto run_sweep = [&](auto&& sweep) {
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-      return;
-    }
-    ensure_pool();
-    pool_->run([this, &sweep](int t) {
-      const auto w = static_cast<std::size_t>(t);
-      sweep(bounds_[w], bounds_[w + 1], fault_tallies_[w]);
-    });
-  };
-  if (4 * candidates <= reverse_slot_.size()) {
-    // Sparse round: materialize the slot set and sort it.  Ascending slot
-    // order yields both receiver order and per-receiver sender order,
-    // since each receiver owns a contiguous slot range sorted by sender.
-    for (NodeId b : round_bcasters_) {
-      const auto u = static_cast<std::size_t>(b);
-      for (std::uint32_t e = first_slot_[u]; e < first_slot_[u + 1]; ++e)
-        round_slots_.push_back(reverse_slot_[e]);
-    }
-    std::sort(round_slots_.begin(), round_slots_.end());
-    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
-      auto it = std::lower_bound(round_slots_.begin(), round_slots_.end(),
-                                 first_slot_[static_cast<std::size_t>(lo)]);
-      std::size_t idx = static_cast<std::size_t>(it - round_slots_.begin());
-      for (auto v = static_cast<std::size_t>(lo);
-           v < static_cast<std::size_t>(hi); ++v) {
-        const std::uint32_t begin = first_slot_[v];
-        const std::uint32_t end = first_slot_[v + 1];
-        std::uint32_t k = 0;
-        while (idx < round_slots_.size() && round_slots_[idx] < end) {
-          const std::uint32_t e = round_slots_[idx++];
-          const auto u = static_cast<std::size_t>(adj[e]);
-          put(e, begin, k,
-              bcast_round_[u] == now ? bcast_msg_[u] : unicast_msg(e), ft);
-        }
-        inbox_count_[v] = k;
-      }
-    });
-  } else if (round_unicasts_ == 0) {
-    // Broadcast-heavy round (the common case): gather straight from the
-    // per-sender buffers; the unicast slots were never touched.
-    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+  if (round_staged_.empty() &&
+      4 * static_cast<std::size_t>(last_round_messages_) >
+          reverse_slot_.size()) {
+    // Pull: a broadcast-heavy round (the common case) sweeps every
+    // receiver's sorted adjacency range, gathering straight from the
+    // per-sender buffers.  Each worker fills the inboxes of its own node
+    // range, so the parallel sweep writes the same bytes at any count.
+    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
@@ -479,32 +406,61 @@ void Network::deliver() {
         }
         inbox_count_[v] = k;
       }
-    });
+    };
+    if (threads_ == 1) {
+      sweep(0, static_cast<NodeId>(n()), fault_tallies_[0]);
+    } else {
+      ensure_pool();
+      pool_->run([this, &sweep](int t) {
+        const auto w = static_cast<std::size_t>(t);
+        sweep(bounds_[w], bounds_[w + 1], fault_tallies_[w]);
+      });
+    }
+    counts_dense_ = true;
   } else {
-    run_sweep([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
-      for (auto v = static_cast<std::size_t>(lo);
-           v < static_cast<std::size_t>(hi); ++v) {
-        const std::uint32_t begin = first_slot_[v];
-        const std::uint32_t end = first_slot_[v + 1];
-        std::uint32_t k = 0;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const auto u = static_cast<std::size_t>(adj[e]);
-          if (bcast_round_[u] == now)
-            put(e, begin, k, bcast_msg_[u], ft);
-          else if (slot_round_[e] == now)
-            put(e, begin, k, unicast_msg(e), ft);
-        }
-        inbox_count_[v] = k;
+    // Push: walk the round's senders in ascending id — merging the two
+    // sender-ascending lists — and append each message at its receiver's
+    // next arena entry, so every inbox comes out sender-sorted with no
+    // sort, search, or O(n) pass.  Quiet rounds take this path too.  First
+    // zero the counts the previous delivery left: only its receivers after
+    // a push, all n after a pull.
+    if (counts_dense_)
+      std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
+    else
+      for (NodeId r : receivers_) inbox_count_[static_cast<std::size_t>(r)] = 0;
+    receivers_.clear();
+    counts_dense_ = false;
+    detail::FaultTally& ft = fault_tallies_[0];
+    // r receives on its slot e (whose adjacency entry is the sender).
+    auto push = [&](NodeId r, std::uint32_t e, const PackedMessage& msg) {
+      const auto v = static_cast<std::size_t>(r);
+      std::uint32_t& k = inbox_count_[v];
+      const std::uint32_t before = k;
+      put(e, first_slot_[v], k, msg, ft);
+      if (before == 0 && k != 0) receivers_.push_back(r);
+    };
+    std::size_t next = 0;  // first staged unicast not yet pushed
+    auto push_unicasts_before = [&](NodeId sender) {
+      for (; next < round_staged_.size() &&
+             adj[round_staged_[next].slot] < sender;
+           ++next) {
+        const std::uint32_t e = round_staged_[next].slot;
+        push(adj[reverse_slot_[e]], e, round_staged_[next].msg);
       }
-    });
+    };
+    for (NodeId b : round_bcasters_) {
+      push_unicasts_before(b);
+      const auto u = static_cast<std::size_t>(b);
+      for (std::uint32_t s = first_slot_[u]; s < first_slot_[u + 1]; ++s)
+        push(adj[s], reverse_slot_[s], bcast_msg_[u]);
+    }
+    push_unicasts_before(std::numeric_limits<NodeId>::max());
   }
-  // Empty all three round lists so the serial engine's buffer swap hands a
+  // Empty both round lists so the serial engine's buffer swap hands a
   // clean vector back to the worker tally (and the parallel inserts start
   // from scratch); a stale entry here would replay an old unicast.
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
-  round_unicasts_ = 0;
   if (faults_enabled_) {
     // Fold the per-worker drop/corrupt counts (sums — order-free) and
     // count the completed round as survived.
@@ -521,9 +477,7 @@ void Network::deliver() {
 void Network::reset() {
   stats_ = RoundStats{};
   last_round_messages_ = 0;
-  round_unicasts_ = 0;
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
   for (detail::SendTally& tally : tallies_) tally.clear();
   for (std::exception_ptr& error : step_errors_) error = nullptr;
@@ -532,6 +486,8 @@ void Network::reset() {
   std::fill(bcast_round_.begin(), bcast_round_.end(), -1);
   // Arena entries are stale-but-unread once the counts are zeroed.
   std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
+  receivers_.clear();
+  counts_dense_ = false;
   wide_send_.clear();
   wide_inbox_.clear();
   // The fault model itself survives reset() (entry points reset the

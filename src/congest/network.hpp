@@ -16,17 +16,21 @@
 // with the current round number), so the one-message-per-edge-per-round
 // rule is enforced structurally — two sends on one edge hit the same slot
 // and the stamp betrays the second.  A broadcast stores its message *once*
-// in a per-sender buffer (O(1), not O(degree)); the delivery sweep — one
-// O(m) pass over each receiver's sorted adjacency range — gathers from
-// sender broadcast buffers and stamped unicast slots into a flat arena of
-// packed entries, which each step reads in place through `NodeView::inbox()`
-// (entries are valid for the step: keep copies, not pointers).  Rounds with
-// no unicast at all (the common case for the paper's algorithms) skip the
-// unicast-slot checks entirely.
+// in a per-sender buffer (O(1), not O(degree)).  Delivery writes a flat
+// arena of packed entries, which each step reads in place through
+// `NodeView::inbox()` (entries are valid for the step: keep copies, not
+// pointers).  It takes one of two paths:
+//   * pull (broadcast-only rounds reaching over 1/4 of the 2m slots): one
+//     O(m) sweep over every receiver's sorted adjacency range, parallel
+//     over the worker ranges;
+//   * push (every other round, quiet ones included): walk the round's
+//     senders in ascending id and append each message to its receiver's
+//     arena slice — O(messages + last round's receivers), with no sort,
+//     search, or O(n) pass.
 //
 // Delivery order is deterministic and documented: each node's inbox is
-// sorted by sender id, ascending (the sweep walks the receiver's sorted
-// adjacency range).  Algorithms may rely on this; a regression test pins it.
+// sorted by sender id, ascending (both paths visit senders in id order).
+// Algorithms may rely on this; a regression test pins it.
 //
 // Parallel rounds.  `set_threads(w)` splits both phases of a round over w
 // workers on contiguous node ranges balanced by adjacency mass (the same
@@ -170,8 +174,8 @@ class Network;
 namespace detail {
 
 /// A staged unicast: the receiver-side slot it lands in plus the packed
-/// payload.  Unicast messages live only here (and in the merged, sorted
-/// per-round list) — there is no dense 2m-entry message array, because a
+/// payload.  Unicast messages live only here (and in the merged per-round
+/// list) — there is no dense 2m-entry message array, because a
 /// round's unicast volume is bounded by n sends yet a dense array would
 /// charge every directed edge 16 bytes for the whole cell.
 struct StagedUnicast {
@@ -433,12 +437,11 @@ class Network {
   /// worker order — byte-identical to the serial engine) and delivers.
   void merge_and_deliver();
 
-  /// Gathers this round's messages into the inbox arena and advances the
-  /// round counter.  Output-sensitive: quiet rounds are O(n), rounds whose
-  /// delivered-slot count is small relative to 2m gather via a sorted slot
-  /// list, and only message-heavy rounds pay the full O(m) sweep — split
-  /// over the same worker ranges as the step phase when threads() > 1.
-  /// Defined in network.cpp (shared by all instantiations).
+  /// Writes this round's messages into the inbox arena and advances the
+  /// round counter.  Broadcast-only rounds whose fan-out exceeds 1/4 of
+  /// the 2m slots pull: an O(m) receiver sweep split over the step phase's
+  /// worker ranges.  Every other round pushes, walking senders in id
+  /// order, in O(messages + the previous round's receivers).
   void deliver();
 
   /// Allocates the per-directed-edge unicast buffers on first use, so
@@ -505,17 +508,11 @@ class Network {
   std::vector<std::int32_t> slot_round_;    // 2m entries (lazy)
   std::atomic<bool> unicast_ready_{false};  // acquire-gated lazy init
   std::mutex unicast_init_mutex_;
-  std::int64_t round_unicasts_ = 0;         // unicasts sent this round
   std::vector<std::int32_t> unicast_round_; // last round each node unicast
-  // This round's senders after the merge: every staged unicast sorted by
-  // receiver-side slot (slots are unique by the send discipline, so the
-  // order is deterministic at any thread count and delivery looks payloads
-  // up by binary search), the same slots alone, and the nodes that
-  // broadcast.  round_slots_ + broadcaster degrees bound the deliverable
-  // slot set, so sparse rounds gather in O(k log k + n) instead of
-  // sweeping 2m slots.
+  // This round's senders after the merge, both in ascending sender id
+  // (steps run in node order and tallies merge in worker order): every
+  // staged unicast, and the nodes that broadcast.
   std::vector<detail::StagedUnicast> round_staged_;
-  std::vector<std::uint32_t> round_slots_;
   std::vector<NodeId> round_bcasters_;
 
   // Per-sender broadcast buffers (same stamping discipline).
@@ -529,6 +526,10 @@ class Network {
   // write disjoint regions with no cross-worker offsets to agree on.
   std::vector<detail::PackedIncoming> inbox_arena_;
   std::vector<std::uint32_t> inbox_count_;  // n entries
+  // Nonzero counts left by the last delivery: the receivers a push listed,
+  // or (counts_dense_) any node after a pull sweep.
+  std::vector<NodeId> receivers_;
+  bool counts_dense_ = false;
 
   // Overflow pools for messages too wide for the narrow packed encoding,
   // in two generations: sends of the round in flight append to

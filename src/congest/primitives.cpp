@@ -1,7 +1,6 @@
 #include "congest/primitives.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <optional>
 
@@ -21,6 +20,38 @@ std::size_t slot_of(graph::GraphView g, NodeId v, NodeId target) {
   PG_CHECK(slot != graph::Graph::npos, "tree edge missing from graph");
   return slot;
 }
+
+// A node's FIFO of tokens to forward: a vector plus a head cursor.  Unlike
+// std::deque, an empty queue allocates nothing (the pipelines keep one per
+// node), and the consumed prefix is dropped once it is half the vector, so
+// storage stays within twice the live tokens at O(1) amortized per pop.
+struct TokenQueue {
+  std::vector<std::uint64_t> items;
+  std::size_t head = 0;
+
+  bool empty() const { return head == items.size(); }
+  void push(std::uint64_t token) { items.push_back(token); }
+  std::uint64_t pop() {
+    const std::uint64_t token = items[head++];
+    if (2 * head >= items.size()) {
+      items.erase(items.begin(),
+                  items.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+    return token;
+  }
+};
+
+// What a node has seen of a downcast stream: its length, and whether one
+// token was the node's own id — all any caller needs, instead of a copy of
+// the whole stream per node.  size() keeps the delivery check below (whose
+// text fault-plan reports carry in their error column) as it was.
+struct ReceivedStream {
+  std::size_t count = 0;
+  bool own_id = false;
+
+  std::size_t size() const { return count; }
+};
 }  // namespace
 
 NodeId elect_min_id_leader(Network& net) {
@@ -115,7 +146,7 @@ std::vector<std::uint64_t> upcast_tokens(
   const std::size_t n = net.n();
   PG_REQUIRE(tokens_per_node.size() == n, "token list size mismatch");
   const auto max_token_bits = net.bandwidth() - 8;
-  std::vector<std::deque<std::uint64_t>> queue(n);
+  std::vector<TokenQueue> queue(n);
   std::size_t pending = 0;  // tokens not yet received by the root
   for (std::size_t v = 0; v < n; ++v) {
     for (std::uint64_t token : tokens_per_node[v])
@@ -126,8 +157,9 @@ std::vector<std::uint64_t> upcast_tokens(
                    v == static_cast<std::size_t>(tree.root) ||
                    tree.parent[v] != -1,
                "tokens at a node the BFS tree did not reach");
-    queue[v].assign(tokens_per_node[v].begin(), tokens_per_node[v].end());
-    if (v != static_cast<std::size_t>(tree.root)) pending += queue[v].size();
+    queue[v].items = std::move(tokens_per_node[v]);
+    if (v != static_cast<std::size_t>(tree.root))
+      pending += queue[v].items.size();
   }
 
   // Unreached nodes (parent == -1) are skipped: they may legally appear in a
@@ -140,8 +172,8 @@ std::vector<std::uint64_t> upcast_tokens(
       parent_slot[v] = slot_of(net.topology(), static_cast<NodeId>(v),
                                tree.parent[v]);
 
-  std::vector<std::uint64_t> collected(
-      tokens_per_node[static_cast<std::size_t>(tree.root)]);
+  std::vector<std::uint64_t> collected =
+      std::move(queue[static_cast<std::size_t>(tree.root)].items);
   while (pending > 0) {
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
@@ -152,12 +184,11 @@ std::vector<std::uint64_t> upcast_tokens(
           collected.push_back(token);
           --pending;
         } else {
-          queue[me].push_back(token);
+          queue[me].push(token);
         }
       }
       if (node.id() != tree.root && !queue[me].empty()) {
-        const auto token = queue[me].front();
-        queue[me].pop_front();
+        const auto token = queue[me].pop();
         node.send_slot(parent_slot[me],
                        Message{kToken, {static_cast<std::int64_t>(token)}});
       }
@@ -175,7 +206,7 @@ std::vector<std::uint64_t> upcast_tokens(
   return collected;
 }
 
-std::vector<std::vector<std::uint64_t>> downcast_tokens(
+std::vector<char> downcast_tokens(
     Network& net, const BfsTree& tree,
     const std::vector<std::uint64_t>& tokens) {
   const std::size_t n = net.n();
@@ -185,11 +216,13 @@ std::vector<std::vector<std::uint64_t>> downcast_tokens(
                    max_token_bits,
                "token too wide for CONGEST bandwidth");
 
-  std::vector<std::deque<std::uint64_t>> queue(n);
-  std::vector<std::vector<std::uint64_t>> received(n);
-  queue[static_cast<std::size_t>(tree.root)].assign(tokens.begin(),
-                                                    tokens.end());
-  received[static_cast<std::size_t>(tree.root)] = tokens;
+  // The root "receives" the whole stream up front.
+  const auto root = static_cast<std::size_t>(tree.root);
+  std::vector<TokenQueue> queue(n);
+  std::vector<ReceivedStream> received(n);
+  queue[root].items = tokens;
+  received[root] = {tokens.size(), std::find(tokens.begin(), tokens.end(),
+                                             root) != tokens.end()};
 
   std::vector<std::vector<std::size_t>> child_slot(n);
   for (std::size_t v = 0; v < n; ++v)
@@ -203,12 +236,12 @@ std::vector<std::vector<std::uint64_t>> downcast_tokens(
       for (const Incoming& in : node.inbox()) {
         if (in.msg.kind != kToken || in.msg.num_fields < 1) continue;
         const auto token = static_cast<std::uint64_t>(in.msg.at(0));
-        received[me].push_back(token);
-        queue[me].push_back(token);
+        ++received[me].count;
+        if (token == me) received[me].own_id = true;
+        queue[me].push(token);
       }
       if (!queue[me].empty()) {
-        const auto token = queue[me].front();
-        queue[me].pop_front();
+        const auto token = queue[me].pop();
         for (std::size_t slot : child_slot[me])
           node.send_slot(slot,
                          Message{kToken, {static_cast<std::int64_t>(token)}});
@@ -219,7 +252,9 @@ std::vector<std::vector<std::uint64_t>> downcast_tokens(
   for (std::size_t v = 0; v < n; ++v)
     PG_CHECK(received[v].size() == tokens.size(),
              "downcast did not deliver all tokens");
-  return received;
+  std::vector<char> got_own_id(n);
+  for (std::size_t v = 0; v < n; ++v) got_own_id[v] = received[v].own_id;
+  return got_own_id;
 }
 
 }  // namespace pg::congest

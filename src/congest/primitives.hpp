@@ -39,11 +39,12 @@ std::vector<std::uint64_t> upcast_tokens(
     Network& net, const BfsTree& tree,
     std::vector<std::vector<std::uint64_t>> tokens_per_node);
 
-/// Pipelined broadcast: the root streams `tokens` down the tree; every node
-/// ends up having seen all of them.  Returns per-node received tokens
-/// (identical lists; returned per node so callers consume them "locally").
-/// Completes in O(height + token count) rounds.
-std::vector<std::vector<std::uint64_t>> downcast_tokens(
+/// Pipelined broadcast: the root streams `tokens` (typically node ids, e.g.
+/// a solution set) down the tree; every node sees all of them.  Returns,
+/// per node v, whether v saw the token equal to its own id — the local
+/// membership answer every caller needs, without holding n copies of the
+/// stream.  Completes in O(height + token count) rounds.
+std::vector<char> downcast_tokens(
     Network& net, const BfsTree& tree,
     const std::vector<std::uint64_t>& tokens);
 

@@ -243,9 +243,10 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       // direct votes.  Only votes for *adjacent* candidates can be
       // forwarded (non-adjacent ones have no delivery slot), so the
       // accumulator is the candidate-neighbor list itself: a sorted
-      // array with min = -1 meaning "no vote seen", reproducing the
+      // array with min = 0 meaning "no vote seen", reproducing the
       // presence semantics of the std::map it replaced (a legal vote may
-      // equal qinf, so the sentinel must be out of band).
+      // equal qinf, so the sentinel must be out of band; qencode never
+      // returns 0).
       net.round([&](NodeView& node) {
         const auto me = static_cast<std::size_t>(node.id());
         auto& cands = candidate_neighbors[me];

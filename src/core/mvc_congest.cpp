@@ -383,10 +383,9 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
   for (VertexId hv : h_cover.to_vector())
     solution_tokens.push_back(
         static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto received = congest::downcast_tokens(net, tree, solution_tokens);
+  const auto selected = congest::downcast_tokens(net, tree, solution_tokens);
   for (std::size_t v = 0; v < n; ++v)
-    for (std::uint64_t token : received[v])
-      if (token == v) result.cover.insert(static_cast<VertexId>(v));
+    if (selected[v]) result.cover.insert(static_cast<VertexId>(v));
 }
 
 /// Common driver: trivial-cover early-outs, Phase I via `phase1`, Phase II.

@@ -69,10 +69,9 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
   std::vector<std::uint64_t> answer;
   for (VertexId v : chosen.to_vector())
     answer.push_back(static_cast<std::uint64_t>(v));
-  const auto received = congest::downcast_tokens(net, tree, answer);
+  const auto selected = congest::downcast_tokens(net, tree, answer);
   for (std::size_t v = 0; v < n; ++v)
-    for (std::uint64_t token : received[v])
-      if (token == v) result.solution.insert(static_cast<VertexId>(v));
+    if (selected[v]) result.solution.insert(static_cast<VertexId>(v));
 
   result.stats = net.stats();
   return result;

@@ -7,8 +7,11 @@
 // is byte-invisible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -224,6 +227,101 @@ TEST(NetworkFaults, CrashHazardIsReproducible) {
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
   EXPECT_GT(first.second.faults.nodes_crashed, 0);
+}
+
+TEST(NetworkFaults, DropAndCorruptAreKeyedOnTheReceiverSideSlot) {
+  // Every drop and corruption decision is fault_fires(.., round, slot) on
+  // the directed edge's *receiver-side* slot — the receiver's adjacency
+  // position of the sender — whichever path delivers the round.  Rounds 0
+  // and 1 below take the push path (one mixes unicasts in, one is a sparse
+  // broadcast), round 2 the pull path (everyone broadcasts); the observed
+  // (round, receiver, sender) sets must equal the directly computed ones
+  // at any worker count.
+  Rng rng(71);
+  const Graph g = graph::connected_gnp(60, 0.15, rng);
+  FaultModel model;
+  model.drop_rate = 0.3;
+  model.corrupt_rate = 0.3;
+  model.seed = 29;
+  // Round 0: multiples of 3 broadcast (v, -1), v = 1 mod 3 unicast
+  // (v, receiver) on every even slot.  Round 1: multiples of 7 broadcast.
+  // Round 2: every node broadcasts.
+  auto sends = [](std::int64_t round, NodeId v, std::size_t slot) {
+    if (round == 0) return v % 3 == 0 || (v % 3 == 1 && slot % 2 == 0);
+    return (round == 1 && v % 7 == 0) || round == 2;
+  };
+  using Triple = std::array<std::int64_t, 3>;  // (round, receiver, sender)
+  std::vector<Triple> sent, want_dropped, want_corrupted;
+  const auto offsets = g.adjacency_offsets();
+  for (std::int64_t round = 0; round < 3; ++round)
+    for (NodeId u = 0; u < g.num_vertices(); ++u) {
+      const auto nbrs = g.neighbors(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (!sends(round, u, i)) continue;
+        const NodeId to = nbrs[i];
+        const std::uint64_t slot =
+            offsets[static_cast<std::size_t>(to)] + g.neighbor_index(to, u);
+        sent.push_back({round, to, u});
+        if (fault_fires(fault_threshold(model.drop_rate), model.seed,
+                        kFaultTagDrop, round, slot))
+          want_dropped.push_back({round, to, u});
+        else if (fault_fires(fault_threshold(model.corrupt_rate), model.seed,
+                             kFaultTagCorrupt, round, slot))
+          want_corrupted.push_back({round, to, u});
+      }
+    }
+  std::sort(sent.begin(), sent.end());
+  std::sort(want_dropped.begin(), want_dropped.end());
+  std::sort(want_corrupted.begin(), want_corrupted.end());
+  ASSERT_FALSE(want_dropped.empty());
+  ASSERT_FALSE(want_corrupted.empty());
+
+  for (const int threads : {1, 3}) {
+    Network net(g);
+    net.set_threads(threads);
+    net.set_fault_model(model);
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    std::vector<std::vector<Triple>> delivered(n), corrupted(n);
+    for (std::int64_t round = 0; round < 4; ++round) {
+      net.round([&](NodeView& node) {
+        const NodeId v = node.id();
+        const auto me = static_cast<std::size_t>(v);
+        for (const Incoming& in : node.inbox()) {
+          const Triple t{round - 1, v, in.from};
+          const bool unicast = round == 1 && in.from % 3 == 1;
+          delivered[me].push_back(t);
+          if (in.msg.kind != 7 || in.msg.at(0) != in.from ||
+              in.msg.at(1) != (unicast ? v : -1))
+            corrupted[me].push_back(t);
+        }
+        for (std::size_t i = 0; i < node.degree(); ++i) {
+          if (!sends(round, v, i)) continue;
+          if (round == 0 && v % 3 == 1)
+            node.send_slot(i, Message{7, {v, node.neighbors()[i]}});
+          else
+            node.broadcast(Message{7, {v, -1}});
+          if (round > 0 || v % 3 == 0) break;  // one broadcast covers all
+        }
+      });
+    }
+    std::vector<Triple> got_delivered, got_dropped, got_corrupted;
+    for (std::size_t v = 0; v < n; ++v) {
+      got_delivered.insert(got_delivered.end(), delivered[v].begin(),
+                           delivered[v].end());
+      got_corrupted.insert(got_corrupted.end(), corrupted[v].begin(),
+                           corrupted[v].end());
+    }
+    std::sort(got_delivered.begin(), got_delivered.end());
+    std::sort(got_corrupted.begin(), got_corrupted.end());
+    std::set_difference(sent.begin(), sent.end(), got_delivered.begin(),
+                        got_delivered.end(), std::back_inserter(got_dropped));
+    EXPECT_EQ(got_dropped, want_dropped) << "threads " << threads;
+    EXPECT_EQ(got_corrupted, want_corrupted) << "threads " << threads;
+    EXPECT_EQ(net.stats().faults.messages_dropped,
+              static_cast<std::int64_t>(want_dropped.size()));
+    EXPECT_EQ(net.stats().faults.messages_corrupted,
+              static_cast<std::int64_t>(want_corrupted.size()));
+  }
 }
 
 // ----------------------------------------------------------- sweep layer ---

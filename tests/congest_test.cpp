@@ -478,6 +478,130 @@ TEST(Network, RebindToASmallTopologyShrinksOversizedBuffers) {
             8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16));
 }
 
+// One delivered (or expected) message: (sender, kind, field 0, field 1).
+using Delivery = std::array<std::int64_t, 4>;
+
+// The delivery paths in the order the reference-model schedule visits them.
+enum class RoundKind {
+  kQuiet,
+  kSparseBroadcast,
+  kSparseUnicast,
+  kDenseBroadcast,
+  kDenseMixed,
+};
+
+// Reference model for delivery.  Each round's steps record what they send;
+// a naive oracle turns the recorded sends into the expected inboxes (every
+// message addressed to a node, sorted by sender) and the next round's steps
+// compare them with what they observe.  The schedule cycles through every
+// delivery path and every transition between them, with different senders
+// per cycle, so a stale inbox count or a misplaced entry shows up as a
+// mismatch.  Returns every observation, for cross-thread comparison.
+std::vector<std::vector<Delivery>> run_reference_model(const Graph& g,
+                                                       int threads) {
+  Network net(g);
+  net.set_threads(threads);
+  const std::size_t n = net.n();
+  const std::size_t slots = g.adjacency_array().size();
+  const RoundKind cycle[] = {
+      RoundKind::kQuiet,          RoundKind::kSparseBroadcast,
+      RoundKind::kSparseUnicast,  RoundKind::kDenseBroadcast,
+      RoundKind::kDenseMixed,     RoundKind::kQuiet};
+  std::vector<std::vector<Delivery>> expected(n), observed_log;
+  std::vector<std::vector<std::pair<NodeId, Delivery>>> sent(n);
+  std::vector<char> received_last_round(n, 0);
+  std::size_t stale_checks = 0;
+  std::int64_t round = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const RoundKind kind : cycle) {
+      const auto k = static_cast<std::int64_t>(kind);
+      std::vector<std::vector<Delivery>> observed(n);
+      net.round([&](NodeView& node) {
+        const NodeId v = node.id();
+        const auto me = static_cast<std::size_t>(v);
+        for (const Incoming& in : node.inbox()) {
+          EXPECT_EQ(node.neighbors()[in.reply_slot], in.from);
+          observed[me].push_back({in.from, in.msg.kind, in.msg.at(0),
+                                  in.msg.at(1)});
+        }
+        const Message m{static_cast<std::uint8_t>(k), {v, round}};
+        const Delivery d{v, k, v, round};
+        auto unicast = [&](std::size_t slot) {
+          node.send_slot(slot, m);
+          sent[me].push_back({node.neighbors()[slot], d});
+        };
+        auto broadcast = [&] {
+          node.broadcast(m);
+          for (NodeId u : node.neighbors()) sent[me].push_back({u, d});
+        };
+        if (node.degree() == 0) return;
+        // Sparse rounds pick a few senders that move with the pass, so
+        // consecutive pushes reach different receivers.
+        const bool few = (v + 5 * pass + static_cast<int>(k)) % 11 == 0;
+        switch (kind) {
+          case RoundKind::kQuiet:
+            break;
+          case RoundKind::kSparseBroadcast:
+            if (few) broadcast();
+            break;
+          case RoundKind::kSparseUnicast:
+            if (few) unicast((me + static_cast<std::size_t>(pass)) %
+                             node.degree());
+            break;
+          case RoundKind::kDenseBroadcast:
+            if (v % 5 != 0) broadcast();
+            break;
+          case RoundKind::kDenseMixed:
+            if (v % 2 == 0) {
+              broadcast();
+            } else {
+              for (std::size_t i = 0; i < node.degree(); ++i)
+                if ((i + me) % 3 != 0) unicast(i);
+            }
+            break;
+        }
+      });
+      for (std::size_t v = 0; v < n; ++v) {
+        EXPECT_EQ(observed[v], expected[v])
+            << "node " << v << " in round " << round << " (threads "
+            << threads << ")";
+        if (received_last_round[v] && expected[v].empty()) ++stale_checks;
+        received_last_round[v] = !observed[v].empty();
+      }
+      observed_log.insert(observed_log.end(), observed.begin(),
+                          observed.end());
+      // The oracle: next round's inboxes from this round's sends.
+      std::int64_t messages = 0;
+      for (auto& inbox : expected) inbox.clear();
+      for (std::size_t u = 0; u < n; ++u) {
+        for (const auto& [to, d] : sent[u])
+          expected[static_cast<std::size_t>(to)].push_back(d);
+        messages += static_cast<std::int64_t>(sent[u].size());
+        sent[u].clear();
+      }
+      for (auto& inbox : expected) std::sort(inbox.begin(), inbox.end());
+      // The schedule must reach the path it names: sparse rounds stay at
+      // or under 1/4 of the directed slots, dense rounds go past it.
+      const bool dense = kind == RoundKind::kDenseBroadcast ||
+                         kind == RoundKind::kDenseMixed;
+      EXPECT_EQ(dense, 4 * static_cast<std::size_t>(messages) > slots)
+          << "round " << round;
+      EXPECT_EQ(net.last_round_sent_messages(), messages > 0);
+      ++round;
+    }
+  }
+  EXPECT_GT(stale_checks, 0u)
+      << "no receiver of one round went unaddressed in the next";
+  return observed_log;
+}
+
+TEST(Network, DeliveryMatchesReferenceModelOnEveryPath) {
+  Rng rng(59);
+  const Graph g = graph::connected_gnp(70, 0.12, rng);
+  const auto serial = run_reference_model(g, 1);
+  EXPECT_EQ(run_reference_model(g, 3), serial);
+}
+
 TEST(Primitives, LeaderElectionFindsMinId) {
   Rng rng(23);
   for (int trial = 0; trial < 5; ++trial) {
@@ -549,13 +673,13 @@ TEST(Primitives, DowncastDeliversToAll) {
   const Graph g = graph::connected_gnp(18, 0.15, rng);
   Network net(g);
   const BfsTree tree = build_bfs_tree(net, 0);
-  const std::vector<std::uint64_t> tokens = {5, 9, 14};
-  const auto received = downcast_tokens(net, tree, tokens);
-  for (std::size_t v = 0; v < 18; ++v) {
-    auto sorted = received[v];
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, tokens);
-  }
+  const std::vector<std::uint64_t> tokens = {0, 5, 9, 14};
+  const auto selected = downcast_tokens(net, tree, tokens);
+  ASSERT_EQ(selected.size(), 18u);
+  for (std::size_t v = 0; v < 18; ++v)
+    EXPECT_EQ(selected[v] != 0,
+              std::find(tokens.begin(), tokens.end(), v) != tokens.end())
+        << "node " << v;
 }
 
 TEST(Primitives, UpcastRejectsWideTokens) {

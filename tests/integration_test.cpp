@@ -95,9 +95,15 @@ TEST(Integration, PrimitivesComposeAcrossPhases) {
     tokens[v].push_back(static_cast<std::uint64_t>(v) + 100);
   const auto collected = congest::upcast_tokens(net, tree, tokens);
   EXPECT_EQ(collected.size(), net.n());
-  const auto echoed = congest::downcast_tokens(net, tree, collected);
+  // Echo the ids back down (every other one): each node learns exactly
+  // whether its own id was streamed.
+  std::vector<std::uint64_t> echoed_ids;
+  for (std::uint64_t token : collected)
+    if (token % 2 == 0) echoed_ids.push_back(token - 100);
+  const auto echoed = congest::downcast_tokens(net, tree, echoed_ids);
+  ASSERT_EQ(echoed.size(), net.n());
   for (std::size_t v = 0; v < net.n(); ++v)
-    EXPECT_EQ(echoed[v].size(), net.n());
+    EXPECT_EQ(echoed[v] != 0, v % 2 == 0) << "node " << v;
 }
 
 TEST(Integration, BfsTreeHeightMatchesEccentricity) {
