@@ -3,6 +3,9 @@
 // operations every experiment binary leans on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "congest/network.hpp"
 #include "core/gr_mvc.hpp"
 #include "graph/generators.hpp"
@@ -84,6 +87,47 @@ void BM_CongestBroadcastRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CongestBroadcastRound)->Arg(128)->Arg(512);
+
+// One Network round on a linked Chung-Lu graph (exponent 2.5, average
+// degree 4 — the sweep's chung-lu scenario) at 1, 2 and 4 round threads.
+// Args: {n, threads, bcast}; bcast 1 = every node reads its inbox and
+// broadcasts the minimum id it has seen (a flooding round: n steps plus
+// ~2m inbox entries, then a pull sweep over the 2m slots), bcast 0 = quiet
+// (n steps that find their inbox empty, no delivery).  The crossover
+// between these rows is the evidence for the simulator's fan-out cutoff
+// (congest::kFanOutMinWork).
+void BM_CongestRoundThreads(benchmark::State& state) {
+  Rng rng(7);
+  const Graph g = graph::link_components(graph::chung_lu(
+      static_cast<graph::VertexId>(state.range(0)), 2.5, 4.0, rng));
+  congest::Network net(g);
+  net.set_threads(static_cast<int>(state.range(1)));
+  const auto flood = [](congest::NodeView& node) {
+    std::int64_t low = node.id();
+    for (const congest::Incoming& in : node.inbox())
+      low = std::min(low, in.msg.at(0));
+    node.broadcast(congest::Message{1, {low}});
+  };
+  const auto quiet = [](congest::NodeView& node) {
+    benchmark::DoNotOptimize(node.inbox().empty());
+  };
+  const bool read_and_broadcast = state.range(2) == 1;
+  const auto round = [&] {
+    if (read_and_broadcast) net.round(flood);
+    else net.round(quiet);
+  };
+  for (int i = 0; i < 3; ++i) round();  // fill inboxes, warm buffers + pool
+  for (auto _ : state) round();
+  state.SetLabel(read_and_broadcast ? "read+bcast" : "quiet");
+}
+BENCHMARK(BM_CongestRoundThreads)
+    ->ArgNames({"n", "threads", "bcast"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const int bcast : {1, 0})
+        for (const int n : {1000, 10000, 100000})
+          for (const int threads : {1, 2, 4}) b->Args({n, threads, bcast});
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

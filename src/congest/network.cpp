@@ -67,14 +67,15 @@ std::uint32_t Network::push_wide(const Message& m) {
 }
 
 std::size_t Network::buffer_bytes() const {
-  auto bytes = [](const auto& v) {
-    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  auto bytes = [](const auto&... v) {
+    return (std::size_t{0} + ... + (v.capacity() * sizeof(*v.data())));
   };
-  return bytes(first_slot_) + bytes(reverse_slot_) + bytes(slot_round_) +
-         bytes(round_staged_) + bytes(unicast_round_) + bytes(receivers_) +
-         bytes(round_bcasters_) + bytes(bcast_round_) + bytes(bcast_msg_) +
-         bytes(inbox_arena_) + bytes(inbox_count_) + bytes(wide_send_) +
-         bytes(wide_inbox_);
+  std::size_t sum = bytes(first_slot_, reverse_slot_, slot_round_,
+                          round_staged_, unicast_round_, receivers_,
+                          round_bcasters_, bcast_round_, bcast_msg_,
+                          inbox_arena_, inbox_count_, wide_send_, wide_inbox_);
+  for (const auto& t : tallies_) sum += bytes(t.staged, t.bcasters);
+  return sum;
 }
 
 void Network::set_threads(int t) {
@@ -89,9 +90,8 @@ void Network::set_threads(int t) {
   step_errors_.assign(static_cast<std::size_t>(threads_), nullptr);
   fault_tallies_.assign(static_cast<std::size_t>(threads_),
                         detail::FaultTally{});
-  // The pool is resized lazily by ensure_pool(): a stale pool is only
-  // dropped here if it is now the wrong size, so repeated rebinds with an
-  // unchanged thread count keep their parked helpers.
+  // The first fanned-out phase creates the pool (ensure_pool()); a rebind
+  // at an unchanged worker count keeps it parked, a wrong-sized one drops.
   if (pool_ != nullptr && pool_->workers() != threads_) pool_.reset();
 }
 
@@ -249,6 +249,13 @@ void Network::rebuild() {
   fit_capacity(inbox_count_, n);
   fit_capacity(round_bcasters_, n);
   fit_capacity(receivers_, n);
+  // Each worker's send staging holds at most what the merged round lists
+  // do (and the inline merge trades buffers with them), so it gets the
+  // same policy — shrunk before set_threads() below clears it.
+  for (detail::SendTally& tally : tallies_) {
+    fit_capacity(tally.staged, num_slots);
+    fit_capacity(tally.bcasters, n);
+  }
 
   // slot_round_ stays unallocated until the first unicast (see
   // init_unicast_buffers): broadcast-only algorithms never pay for it.
@@ -300,6 +307,7 @@ void Network::round(const std::function<void(NodeView&)>& step) {
 
 void Network::run_step_phase(const std::function<void(int)>& body) {
   ensure_pool();
+  fanned_out_phases_.fetch_add(1, std::memory_order_relaxed);
   pool_->run([this, &body](int t) {
     try {
       body(t);
@@ -321,14 +329,14 @@ void Network::run_step_phase(const std::function<void(int)>& body) {
   }
 }
 
-void Network::merge_and_deliver() {
+void Network::merge_and_deliver(bool fanned_out) {
   // Fold the per-worker tallies in worker order.  Workers own contiguous
   // ascending node ranges and visit them in order, so this concatenation
   // reproduces the serial engine's send sequences exactly: both round
   // lists come out sender-ascending at any thread count.
   std::int64_t messages = 0;
   std::int64_t bits = 0;
-  if (threads_ == 1) {
+  if (!fanned_out) {
     detail::SendTally& tally = tallies_[0];
     round_staged_.swap(tally.staged);  // O(1): both roles alternate buffers
     round_bcasters_.swap(tally.bcasters);
@@ -407,10 +415,11 @@ void Network::deliver() {
         inbox_count_[v] = k;
       }
     };
-    if (threads_ == 1) {
+    if (!fans_out(reverse_slot_.size())) {
       sweep(0, static_cast<NodeId>(n()), fault_tallies_[0]);
     } else {
       ensure_pool();
+      fanned_out_phases_.fetch_add(1, std::memory_order_relaxed);
       pool_->run([this, &sweep](int t) {
         const auto w = static_cast<std::size_t>(t);
         sweep(bounds_[w], bounds_[w + 1], fault_tallies_[w]);
@@ -456,7 +465,7 @@ void Network::deliver() {
     }
     push_unicasts_before(std::numeric_limits<NodeId>::max());
   }
-  // Empty both round lists so the serial engine's buffer swap hands a
+  // Empty both round lists so the inline merge's buffer swap hands a
   // clean vector back to the worker tally (and the parallel inserts start
   // from scratch); a stale entry here would replay an old unicast.
   round_staged_.clear();

@@ -32,9 +32,19 @@
 // sorted by sender id, ascending (both paths visit senders in id order).
 // Algorithms may rely on this; a regression test pins it.
 //
-// Parallel rounds.  `set_threads(w)` splits both phases of a round over w
-// workers on contiguous node ranges balanced by adjacency mass (the same
-// partitioning proven byte-identical in graph::detail::power_sparse_parallel).
+// Parallel rounds.  `set_threads(w)` lets each phase of a round split over
+// up to w workers on contiguous node ranges balanced by adjacency mass (the
+// same partitioning proven byte-identical in
+// graph::detail::power_sparse_parallel).  Whether a phase actually fans out
+// is decided per round from its size, in work units: the step phase counts
+// one per node plus one per message the previous round sent (the inbox
+// entries the steps read), the pull sweep one per directed slot (2m); push
+// delivery always runs on the driver thread.  A phase fans out only when
+// its work reaches kFanOutMinWork — below that the pool's wake-and-join
+// costs more than the phase itself (BM_CongestRoundThreads in
+// bench/bench_micro.cpp) — and otherwise runs inline exactly like
+// threads() == 1.  A simulator whose rounds all stay small never starts
+// its pool.
 // The discipline checks need no synchronization: every mutable send stamp
 // (a directed edge's receiver-side slot, a sender's broadcast/unicast
 // stamp) has exactly one writing node, and nodes never migrate between
@@ -85,6 +95,14 @@
 namespace pg::congest {
 
 using NodeId = graph::VertexId;
+
+/// Work units (see the header comment) from which a round phase fans out
+/// to the worker pool when threads() > 1.  Chosen from
+/// BM_CongestRoundThreads on a 4-vCPU host: a read-and-broadcast chung-lu
+/// round at n = 10^3 (~5.2k units per phase) runs ~2x slower on 2 or 4
+/// workers than inline, while at n = 10^4 (~52k) 4 workers win and 2
+/// break even; the README's "CONGEST parallelism" section has the table.
+inline constexpr std::size_t kFanOutMinWork = std::size_t{1} << 15;
 
 /// One delivered message, built on access from the packed inbox arena and
 /// valid (as are copies) for the rest of the step that received it.
@@ -173,6 +191,8 @@ class Network;
 
 namespace detail {
 
+struct FanOutSeam;
+
 /// A staged unicast: the receiver-side slot it lands in plus the packed
 /// payload.  Unicast messages live only here (and in the merged per-round
 /// list) — there is no dense 2m-entry message array, because a
@@ -257,16 +277,20 @@ class Network {
   int bandwidth() const { return bandwidth_; }
   const RoundStats& stats() const { return stats_; }
 
-  /// Requests `t` round workers (clamped to [1, min(n, 64)]).  Results are
-  /// byte-identical for every value; only wall clock changes.  Worker
-  /// threads are parked between rounds and survive reset()/reset(topology),
-  /// so pooled simulators keep their pool across rebinds.
+  /// Allows up to `t` round workers (clamped to [1, min(n, 64)]); each
+  /// round phase uses them only if its work reaches kFanOutMinWork.
+  /// Results are byte-identical for every value; only wall clock changes.
+  /// Worker threads are started on the first fanned-out phase, parked
+  /// between rounds, and survive reset()/reset(topology), so pooled
+  /// simulators keep their pool across rebinds.
   void set_threads(int t);
   /// The effective worker count (after clamping).
   int threads() const { return threads_; }
 
   /// Total *capacity* footprint of the slot- and node-sized simulator
-  /// buffers in bytes (excluding the owned graph).  Introspection for the
+  /// buffers in bytes (excluding the owned graph), every worker's send
+  /// staging included — the inline merge swaps tallies_[0]'s buffers with
+  /// the round lists, so either may hold the big one.  Introspection for the
   /// pool-rebind shrink tests and memory-envelope assertions; not a hot
   /// path.
   std::size_t buffer_bytes() const;
@@ -297,8 +321,9 @@ class Network {
   /// Executes one synchronous round.  `step(NodeView&)` is called for every
   /// node; messages sent become visible in inboxes next round.  The step
   /// callable is invoked directly (no type erasure), so lambdas inline.
-  /// With threads() > 1 the per-node calls run concurrently on contiguous
-  /// node ranges; see the parallel-rounds contract in the header comment.
+  /// With threads() > 1 and a round big enough to fan out, the per-node
+  /// calls run concurrently on contiguous node ranges; see the
+  /// parallel-rounds contract in the header comment.
   template <typename Step>
     requires std::invocable<Step&, NodeView&>
   void round(Step&& step) {
@@ -315,7 +340,10 @@ class Network {
     // `crashed_` is read-only for the rest of the round, so the skip in
     // the (possibly parallel) step loops below is race-free.
     if (faults_enabled_ || round_limit_ >= 0) begin_faulty_round();
-    if (threads_ == 1) {
+    // Every node steps and reads what the last round delivered to it.
+    const bool fan_out =
+        fans_out(n() + static_cast<std::size_t>(last_round_messages_));
+    if (!fan_out) {
       const auto num_nodes = static_cast<NodeId>(n());
       detail::SendTally& tally = tallies_[0];
       for (NodeId v = 0; v < num_nodes; ++v) {
@@ -336,7 +364,7 @@ class Network {
         }
       });
     }
-    merge_and_deliver();
+    merge_and_deliver(fan_out);
   }
 
   /// Type-erased overload for ABI-stable callers (function pointers handed
@@ -369,6 +397,14 @@ class Network {
 
  private:
   friend class NodeView;
+  friend struct detail::FanOutSeam;
+
+  /// True iff a phase of `work` units runs on the worker pool.
+  bool fans_out(std::size_t work) const {
+    return threads_ > 1 &&
+           (work >= kFanOutMinWork ||
+            force_fan_out_.load(std::memory_order_relaxed));
+  }
 
   /// One store into the receiver-side slot of directed edge
   /// `first_slot_[from] + local_slot`; the round stamp enforces the
@@ -433,15 +469,18 @@ class Network {
   /// order) is rethrown after the join, matching serial semantics.
   void run_step_phase(const std::function<void(int)>& body);
 
-  /// Folds the per-worker tallies into the canonical round lists/stats (in
-  /// worker order — byte-identical to the serial engine) and delivers.
-  void merge_and_deliver();
+  /// Folds the step phase's tallies into the canonical round lists/stats
+  /// and delivers: an inline phase staged into tallies_[0] alone, a
+  /// fanned-out one into every worker's (merged in worker order —
+  /// byte-identical to the inline engine).
+  void merge_and_deliver(bool fanned_out);
 
   /// Writes this round's messages into the inbox arena and advances the
   /// round counter.  Broadcast-only rounds whose fan-out exceeds 1/4 of
-  /// the 2m slots pull: an O(m) receiver sweep split over the step phase's
-  /// worker ranges.  Every other round pushes, walking senders in id
-  /// order, in O(messages + the previous round's receivers).
+  /// the 2m slots pull: an O(m) receiver sweep, split over the step
+  /// phase's worker ranges when the 2m slots reach kFanOutMinWork.  Every
+  /// other round pushes on the driver thread, walking senders in id order,
+  /// in O(messages + the previous round's receivers).
   void deliver();
 
   /// Allocates the per-directed-edge unicast buffers on first use, so
@@ -544,13 +583,18 @@ class Network {
   // Parallel round machinery.  threads_ is the effective worker count
   // (requested, clamped to [1, min(n, 64)]); bounds_ has threads_ + 1
   // entries partitioning [0, n) by adjacency mass; tallies_ holds one
-  // staging buffer per worker; the pool parks threads_ - 1 helpers.
+  // staging buffer per worker (inline phases use tallies_[0] only); the
+  // pool, created by the first fanned-out phase, parks threads_ - 1
+  // helpers.
   int threads_requested_ = 1;
   int threads_ = 1;
   std::vector<NodeId> bounds_;
   std::vector<detail::SendTally> tallies_;
   std::vector<std::exception_ptr> step_errors_;
   std::unique_ptr<util::WorkerPool> pool_;
+  // Test seam state (see detail::FanOutSeam), process-wide.
+  static inline std::atomic<bool> force_fan_out_{false};
+  static inline std::atomic<std::int64_t> fanned_out_phases_{0};
 
   // Fault-injection state.  Thresholds are the precomputed hash cutoffs
   // (0 = stream disabled); crashed_ is written only in the driver-thread
@@ -567,6 +611,32 @@ class Network {
   std::int64_t round_limit_ = -1;
   std::vector<detail::FaultTally> fault_tallies_;
 };
+
+namespace detail {
+
+/// Test-only seam into the fan-out decision (no public option reaches it):
+/// the parallel suites run graphs far below kFanOutMinWork, so they force
+/// fan-out to keep exercising the worker pool — and assert it ran.
+struct FanOutSeam {
+  /// While alive, every phase of every Network with threads() > 1 fans
+  /// out, however small.
+  struct Force {
+    Force() { Network::force_fan_out_.store(true); }
+    ~Force() { Network::force_fan_out_.store(false); }
+    Force(const Force&) = delete;
+    Force& operator=(const Force&) = delete;
+  };
+  /// Phases (step phases and pull sweeps) that ran on a worker pool in
+  /// this process so far.
+  static std::int64_t fanned_out_phases() {
+    return Network::fanned_out_phases_.load();
+  }
+  static bool pool_started(const Network& net) {
+    return net.pool_ != nullptr;
+  }
+};
+
+}  // namespace detail
 
 inline std::size_t NodeView::n() const { return net_->n(); }
 

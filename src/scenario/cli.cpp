@@ -12,6 +12,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "congest/network.hpp"
 #include "graph/io.hpp"
 #include "graph/storage.hpp"
 #include "scenario/fault.hpp"
@@ -126,8 +127,15 @@ void print_usage(std::ostream& out) {
          "                              --epsilon/--weighting require an\n"
          "                              algorithm that uses them\n"
          "      [--congest-threads T]   parallelize the CONGEST simulator's\n"
-         "                              rounds over T worker threads (output\n"
-         "                              is byte-identical for any T)\n"
+         "                              rounds over up to T worker threads:\n"
+         "                              a round fans out only when its work\n"
+         "                              (nodes + inbox entries, or the 2m\n"
+         "                              slots of a broadcast sweep) reaches\n"
+         "                              "
+      << congest::kFanOutMinWork
+      << " units, smaller ones run on one\n"
+         "                              thread (output is byte-identical for\n"
+         "                              any T)\n"
          "  sweep --sizes N,...         run a (scenario x algorithm x n x r\n"
          "      [--scenarios a,b,...]   x epsilon x weighting x seed) grid;\n"
          "      [--algorithms a,b,...]  defaults to every scenario and\n"
@@ -143,11 +151,17 @@ void print_usage(std::ostream& out) {
          "                              zipf[s] take parameters)\n"
          "      [--threads K] [--csv FILE|-] [--json FILE|-] [--timing]\n"
          "      [--exact-max-n M]\n"
-         "      [--congest-threads T]   worker threads inside each CONGEST\n"
-         "                              simulator round; applies when\n"
-         "                              --threads is 1 (a multi-worker sweep\n"
-         "                              keeps simulators serial); rows are\n"
-         "                              byte-identical for any T\n"
+         "      [--congest-threads T]   up to T worker threads inside each\n"
+         "                              CONGEST simulator round; applies\n"
+         "                              when --threads is 1 (a multi-worker\n"
+         "                              sweep keeps simulators serial); a\n"
+         "                              round fans out only when its work\n"
+         "                              (nodes + inbox entries, or the 2m\n"
+         "                              slots of a broadcast sweep) reaches\n"
+         "                              "
+      << congest::kFanOutMinWork
+      << " units; rows are byte-identical\n"
+         "                              for any T\n"
          "      [--shard I/K]           run only shard I of K (whole\n"
          "                              topology groups, dealt round-robin);\n"
          "                              rows carry global cell indices so\n"

@@ -32,6 +32,14 @@ namespace {
 
 using graph::Graph;
 
+// The multi-threaded tests below run graphs far below kFanOutMinWork, so
+// they force every round phase onto the worker pool and check it ran.
+using ForceFanOut = detail::FanOutSeam::Force;
+
+std::int64_t fanned_out_since(std::int64_t since) {
+  return detail::FanOutSeam::fanned_out_phases() - since;
+}
+
 // ------------------------------------------------------------ hash layer ---
 
 TEST(FaultHash, PureAndSeedSensitive) {
@@ -276,6 +284,8 @@ TEST(NetworkFaults, DropAndCorruptAreKeyedOnTheReceiverSideSlot) {
   ASSERT_FALSE(want_dropped.empty());
   ASSERT_FALSE(want_corrupted.empty());
 
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const int threads : {1, 3}) {
     Network net(g);
     net.set_threads(threads);
@@ -322,6 +332,7 @@ TEST(NetworkFaults, DropAndCorruptAreKeyedOnTheReceiverSideSlot) {
     EXPECT_EQ(net.stats().faults.messages_corrupted,
               static_cast<std::int64_t>(want_corrupted.size()));
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 // ----------------------------------------------------------- sweep layer ---
@@ -377,6 +388,8 @@ TEST(SweepFaults, InertPlanLeavesEveryAdapterRowUnchanged) {
   // single crash entry names a node far outside every topology.
   const FaultPlan plan = FaultPlan::parse("crash@900000:900000000");
   ASSERT_TRUE(plan.has_net_faults());
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const int threads : {1, 2, 4}) {
     SweepSpec threaded = spec;
     threaded.congest_threads = threads;
@@ -395,6 +408,7 @@ TEST(SweepFaults, InertPlanLeavesEveryAdapterRowUnchanged) {
       EXPECT_GT(rows[i].rounds_survived, 0) << where;
     }
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 std::string faulty_sweep_csv(const SweepSpec& spec, const FaultPlan& plan) {
@@ -424,20 +438,25 @@ TEST(SweepFaults, AdversarialRowsDeterministicAcrossThreadsAndShards) {
   for (const CellResult& row : base) dropped += row.msgs_dropped;
   EXPECT_GT(dropped, 0) << "the plan was expected to actually bite";
 
-  for (const int threads : {2, 4}) {
-    SweepSpec threaded = spec;
-    threaded.congest_threads = threads;
-    const std::vector<CellResult> rows = sweep_rows(threaded, opts);
-    ASSERT_EQ(rows.size(), base.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::string where = "cell " + std::to_string(i) + " threads " +
-                                std::to_string(threads);
-      expect_core_fields_equal(rows[i], base[i], where);
-      EXPECT_EQ(rows[i].msgs_dropped, base[i].msgs_dropped) << where;
-      EXPECT_EQ(rows[i].msgs_corrupted, base[i].msgs_corrupted) << where;
-      EXPECT_EQ(rows[i].nodes_crashed, base[i].nodes_crashed) << where;
-      EXPECT_EQ(rows[i].rounds_survived, base[i].rounds_survived) << where;
+  {
+    const ForceFanOut force;
+    const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
+    for (const int threads : {2, 4}) {
+      SweepSpec threaded = spec;
+      threaded.congest_threads = threads;
+      const std::vector<CellResult> rows = sweep_rows(threaded, opts);
+      ASSERT_EQ(rows.size(), base.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::string where = "cell " + std::to_string(i) + " threads " +
+                                  std::to_string(threads);
+        expect_core_fields_equal(rows[i], base[i], where);
+        EXPECT_EQ(rows[i].msgs_dropped, base[i].msgs_dropped) << where;
+        EXPECT_EQ(rows[i].msgs_corrupted, base[i].msgs_corrupted) << where;
+        EXPECT_EQ(rows[i].nodes_crashed, base[i].nodes_crashed) << where;
+        EXPECT_EQ(rows[i].rounds_survived, base[i].rounds_survived) << where;
+      }
     }
+    EXPECT_GT(fanned_out_since(before), 0);
   }
 
   // A 2-shard split under the same plan merges back byte-identically.

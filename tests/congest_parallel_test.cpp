@@ -13,7 +13,13 @@
 //     PG_REQUIRE deterministically — the first failing node in id order
 //     wins, stat counters never tear, and the network is reusable after
 //     reset();
-//   * run_cell's congest_threads knob changes nothing in the row.
+//   * run_cell's congest_threads knob changes nothing in the row;
+//   * rounds below kFanOutMinWork run inline (the pool never starts),
+//     rounds above it fan out.
+//
+// The harness graphs are far below kFanOutMinWork, so every test that
+// compares thread counts forces fan-out through detail::FanOutSeam and
+// asserts that fanned-out phases really ran.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +27,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -35,6 +42,13 @@ namespace {
 using graph::Graph;
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
+
+using ForceFanOut = detail::FanOutSeam::Force;
+
+/// Round phases that ran on a worker pool since the counter read `since`.
+std::int64_t fanned_out_since(std::int64_t since) {
+  return detail::FanOutSeam::fanned_out_phases() - since;
+}
 
 // ------------------------------------------------------------ fixtures ---
 
@@ -132,8 +146,10 @@ std::pair<std::vector<InboxRecord>, RoundStats> run_schedule(
 /// Every registered CONGEST adapter, on every harness topology, yields
 /// bit-identical solutions, round counts, and message stats at every
 /// thread count.  Goes through run_cell_on so the exact production path
-/// (adapter + simulator + feasibility check) is what's pinned.
-TEST(ParallelDeterminism, AdaptersByteIdenticalAcrossThreadCounts) {
+/// (adapter + simulator + feasibility check) is what's pinned — once at
+/// the real cutoff, where these small cells never leave the driver
+/// thread, and once with every phase forced onto the pool.
+void expect_adapters_byte_identical_across_thread_counts() {
   const auto topologies = harness_topologies();
   int adapters_checked = 0;
   for (const scenario::Algorithm& alg : scenario::all_algorithms()) {
@@ -181,12 +197,27 @@ TEST(ParallelDeterminism, AdaptersByteIdenticalAcrossThreadCounts) {
   EXPECT_GE(adapters_checked, 5) << "CONGEST adapter registry shrank?";
 }
 
+TEST(ParallelDeterminism, AdaptersByteIdenticalAcrossThreadCounts) {
+  {
+    const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
+    expect_adapters_byte_identical_across_thread_counts();
+    EXPECT_EQ(fanned_out_since(before), 0)
+        << "a harness-sized cell reached the fan-out cutoff";
+  }
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
+  expect_adapters_byte_identical_across_thread_counts();
+  EXPECT_GT(fanned_out_since(before), 0);
+}
+
 // ------------------------------------------- schedule-level invariance ---
 
 /// The adversarial mixed broadcast/unicast schedule: every inbox byte —
 /// sender, reply slot, kind, payload — and the final stats are identical
 /// for every thread count.
 TEST(ParallelDeterminism, RandomizedScheduleInboxesInvariant) {
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const auto& [name, g] : harness_topologies()) {
     for (const std::uint64_t seed : {1ull, 99ull}) {
       const auto [baseline, base_stats] =
@@ -201,6 +232,7 @@ TEST(ParallelDeterminism, RandomizedScheduleInboxesInvariant) {
       }
     }
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 /// Inbox sender order is part of the documented contract: sorted by
@@ -209,6 +241,8 @@ TEST(ParallelDeterminism, RandomizedScheduleInboxesInvariant) {
 TEST(ParallelDeterminism, InboxesSortedBySenderAtEveryThreadCount) {
   pg::Rng rng(23);
   const Graph g = graph::connected_gnp(40, 0.2, rng);
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const int threads : kThreadCounts) {
     Network net(g);
     net.set_threads(threads);
@@ -232,6 +266,7 @@ TEST(ParallelDeterminism, InboxesSortedBySenderAtEveryThreadCount) {
       });
     }
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 /// Stats-equality regression vs the serial engine, including the
@@ -259,11 +294,14 @@ TEST(ParallelDeterminism, StatsMatchSerialEngineRoundByRound) {
   };
 
   const auto baseline = run(1);
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const int threads : {2, 4, 8}) {
     const auto parallel = run(threads);
     EXPECT_EQ(parallel.first, baseline.first) << threads << " threads";
     EXPECT_EQ(parallel.second, baseline.second) << threads << " threads";
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 // --------------------------------------------------- send discipline ---
@@ -276,6 +314,8 @@ TEST(ParallelDeterminism, StatsMatchSerialEngineRoundByRound) {
 /// come back clean after reset().
 TEST(MessageDiscipline, ConcurrentDuplicateSendTripsDeterministically) {
   const Graph g = graph::cycle_graph(16);
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   for (const int threads : kThreadCounts) {
     Network net(g);
     net.set_threads(threads);
@@ -320,6 +360,7 @@ TEST(MessageDiscipline, ConcurrentDuplicateSendTripsDeterministically) {
     EXPECT_EQ(delivered, 2 * static_cast<std::int64_t>(g.num_edges()))
         << threads << " threads";
   }
+  EXPECT_GT(fanned_out_since(before), 0);
 }
 
 /// set_threads clamps to [1, min(n, 64)] and may be changed between
@@ -346,9 +387,83 @@ TEST(ParallelDeterminism, RethreadingMidRunIsInvisible) {
     return sums;
   };
   const auto baseline = run({1, 1, 1, 1, 1, 1});
+  const ForceFanOut force;
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
   EXPECT_EQ(run({8, 8, 8, 8, 8, 8}), baseline);
   EXPECT_EQ(run({1, 2, 4, 8, 2, 1}), baseline);
   EXPECT_EQ(run({1024, 1024, 1024, 1024, 1024, 1024}), baseline);  // clamped
+  EXPECT_GT(fanned_out_since(before), 0);
+}
+
+// ------------------------------------------------ fan-out decision ---
+
+/// One flooding round: every node reads its inbox and broadcasts the
+/// smallest id it has heard of.
+void flood(NodeView& node) {
+  std::int64_t low = node.id();
+  for (const Incoming& in : node.inbox()) low = std::min(low, in.msg.at(0));
+  node.broadcast(Message{1, {low}});
+}
+
+/// A simulator whose rounds all stay under kFanOutMinWork runs them on the
+/// driver thread and never starts its pool, whatever set_threads says.
+TEST(FanOut, SmallRoundsRunInlineWithoutStartingThePool) {
+  pg::Rng rng(17);
+  const Graph g =
+      graph::link_components(graph::chung_lu(1000, 2.5, 4.0, rng));
+  ASSERT_LT(g.num_vertices() + g.adjacency_array().size(), kFanOutMinWork);
+  Network net(g);
+  net.set_threads(4);
+  ASSERT_EQ(net.threads(), 4);
+  const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
+  for (int r = 0; r < 5; ++r) net.round(flood);
+  net.round([](NodeView&) {});
+  EXPECT_EQ(fanned_out_since(before), 0);
+  EXPECT_FALSE(detail::FanOutSeam::pool_started(net));
+}
+
+/// A flooding round past the cutoff fans out both phases — the step
+/// phase (n steps + ~2m inbox entries) and the pull sweep (2m slots) —
+/// while a quiet round on the same graph stays inline; the inboxes match
+/// the serial engine's either way.
+TEST(FanOut, BigRoundsFanOutAndMatchTheSerialEngine) {
+  pg::Rng rng(19);
+  const Graph g =
+      graph::link_components(graph::chung_lu(12000, 2.5, 4.0, rng));
+  ASSERT_LT(g.num_vertices(), kFanOutMinWork);  // quiet rounds stay inline
+  ASSERT_GE(g.adjacency_array().size(), kFanOutMinWork);
+  auto run = [&](int threads) {
+    Network net(g);
+    net.set_threads(threads);
+    // Per round and node: how many messages arrived and their field sum.
+    std::vector<std::int64_t> heard(2 * net.n());
+    std::vector<std::int64_t> log, phases;
+    for (int r = 0; r < 4; ++r) {
+      const std::int64_t before = detail::FanOutSeam::fanned_out_phases();
+      net.round([&](NodeView& node) {
+        const auto me = static_cast<std::size_t>(node.id());
+        heard[2 * me] = static_cast<std::int64_t>(node.inbox().size());
+        heard[2 * me + 1] = 0;
+        for (const Incoming& in : node.inbox())
+          heard[2 * me + 1] += in.msg.at(0);
+        if (r != 2) flood(node);
+      });
+      phases.push_back(fanned_out_since(before));
+      log.insert(log.end(), heard.begin(), heard.end());
+    }
+    EXPECT_EQ(detail::FanOutSeam::pool_started(net), threads > 1);
+    return std::make_tuple(log, net.stats(), phases);
+  };
+  const auto [serial_log, serial_stats, serial_phases] = run(1);
+  EXPECT_EQ(serial_phases, (std::vector<std::int64_t>{0, 0, 0, 0}));
+  const auto [log, stats, phases] = run(2);
+  EXPECT_EQ(log, serial_log);
+  EXPECT_EQ(stats, serial_stats);
+  // Round 0: small step phase (empty inboxes), fanned-out pull sweep.
+  // Round 1: both phases fan out.  Round 2 is quiet but reads round 1's
+  // ~2m deliveries, so its step phase fans out; round 3 steps over empty
+  // inboxes (inline) and pulls (fanned out).
+  EXPECT_EQ(phases, (std::vector<std::int64_t>{1, 2, 1, 1}));
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -456,26 +458,40 @@ TEST(Network, RebindToASmallTopologyShrinksOversizedBuffers) {
   // graph's buffers forever: reset(topology) releases capacity that is
   // grossly oversized for the new binding (the sweep runner's pool walks
   // topologies largest-first, so without this a whole sweep would hold
-  // the peak graph's footprint).
-  Network net(graph::complete_graph(192));  // ~36k directed slots
-  net.round([&](NodeView& node) {
-    // Node 0 unicasts (touches the staging buffers), everyone else
-    // broadcasts (fills the dense inbox arena).
-    if (node.id() == 0)
-      node.send(1, Message{8, {}});
-    else
-      node.broadcast(Message{7, {}});
-  });
-  const std::size_t big = net.buffer_bytes();
+  // the peak graph's footprint).  That includes every worker's send
+  // staging, which an every-node-unicasts round fills to 2m entries in
+  // total — at 3 threads, forced onto the pool so the per-worker buffers
+  // are the ones filled.
+  const detail::FanOutSeam::Force force;
+  for (const int threads : {1, 3}) {
+    Network net(graph::complete_graph(192));  // ~36k directed slots
+    net.set_threads(threads);
+    net.round([&](NodeView& node) {
+      // Node 0 unicasts (touches the staging buffers), everyone else
+      // broadcasts (fills the dense inbox arena).
+      if (node.id() == 0)
+        node.send(1, Message{8, {}});
+      else
+        node.broadcast(Message{7, {}});
+    });
+    net.round([&](NodeView& node) {
+      for (std::size_t i = 0; i < node.degree(); ++i)
+        node.send_slot(i, Message{9, {}});
+    });
+    net.round([](NodeView&) {});  // the inline merge swaps buffers back
+    const std::size_t big = net.buffer_bytes();
 
-  net.reset(graph::path_graph(8));
-  const Network fresh(graph::path_graph(8));
-  EXPECT_LT(net.buffer_bytes(), big / 8);
-  // Within the fit_capacity slack (2x + the 1024-element floor) of a
-  // fresh simulator: rebinding is allowed to keep warm capacity, not an
-  // old topology's worth of it.
-  EXPECT_LE(net.buffer_bytes(),
-            8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16));
+    net.reset(graph::path_graph(8));
+    Network fresh(graph::path_graph(8));
+    fresh.set_threads(threads);
+    EXPECT_LT(net.buffer_bytes(), big / 8) << threads << " threads";
+    // Within the fit_capacity slack (2x + the 1024-element floor) of a
+    // fresh simulator: rebinding is allowed to keep warm capacity, not an
+    // old topology's worth of it.
+    EXPECT_LE(net.buffer_bytes(),
+              8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16))
+        << threads << " threads";
+  }
 }
 
 // One delivered (or expected) message: (sender, kind, field 0, field 1).
@@ -490,24 +506,33 @@ enum class RoundKind {
   kDenseMixed,
 };
 
+// Everything one reference-model run observed: every inbox of every
+// round, the final stats, and how many round phases ran on the worker pool
+// in each round.
+struct ReferenceRun {
+  std::vector<std::vector<Delivery>> observed;
+  RoundStats stats;
+  std::vector<std::int64_t> fanned_out;
+};
+
 // Reference model for delivery.  Each round's steps record what they send;
 // a naive oracle turns the recorded sends into the expected inboxes (every
 // message addressed to a node, sorted by sender) and the next round's steps
-// compare them with what they observe.  The schedule cycles through every
-// delivery path and every transition between them, with different senders
-// per cycle, so a stale inbox count or a misplaced entry shows up as a
-// mismatch.  Returns every observation, for cross-thread comparison.
-std::vector<std::vector<Delivery>> run_reference_model(const Graph& g,
-                                                       int threads) {
+// compare them with what they observe.  The schedule repeats `cycle` three
+// times with different senders per pass, so a stale inbox count or a
+// misplaced entry shows up as a mismatch.  Under a fault model the oracle
+// no longer applies and only the observations are returned, for
+// cross-thread comparison.
+ReferenceRun run_reference_model(const Graph& g, int threads,
+                                 std::span<const RoundKind> cycle,
+                                 const FaultModel* faults = nullptr) {
   Network net(g);
   net.set_threads(threads);
+  if (faults != nullptr) net.set_fault_model(*faults);
   const std::size_t n = net.n();
   const std::size_t slots = g.adjacency_array().size();
-  const RoundKind cycle[] = {
-      RoundKind::kQuiet,          RoundKind::kSparseBroadcast,
-      RoundKind::kSparseUnicast,  RoundKind::kDenseBroadcast,
-      RoundKind::kDenseMixed,     RoundKind::kQuiet};
-  std::vector<std::vector<Delivery>> expected(n), observed_log;
+  std::vector<std::vector<Delivery>> expected(n);
+  ReferenceRun run;
   std::vector<std::vector<std::pair<NodeId, Delivery>>> sent(n);
   std::vector<char> received_last_round(n, 0);
   std::size_t stale_checks = 0;
@@ -516,6 +541,7 @@ std::vector<std::vector<Delivery>> run_reference_model(const Graph& g,
     for (const RoundKind kind : cycle) {
       const auto k = static_cast<std::int64_t>(kind);
       std::vector<std::vector<Delivery>> observed(n);
+      const std::int64_t fanned = detail::FanOutSeam::fanned_out_phases();
       net.round([&](NodeView& node) {
         const NodeId v = node.id();
         const auto me = static_cast<std::size_t>(v);
@@ -561,14 +587,16 @@ std::vector<std::vector<Delivery>> run_reference_model(const Graph& g,
             break;
         }
       });
-      for (std::size_t v = 0; v < n; ++v) {
+      run.fanned_out.push_back(detail::FanOutSeam::fanned_out_phases() -
+                               fanned);
+      for (std::size_t v = 0; faults == nullptr && v < n; ++v) {
         EXPECT_EQ(observed[v], expected[v])
             << "node " << v << " in round " << round << " (threads "
             << threads << ")";
         if (received_last_round[v] && expected[v].empty()) ++stale_checks;
         received_last_round[v] = !observed[v].empty();
       }
-      observed_log.insert(observed_log.end(), observed.begin(),
+      run.observed.insert(run.observed.end(), observed.begin(),
                           observed.end());
       // The oracle: next round's inboxes from this round's sends.
       std::int64_t messages = 0;
@@ -590,16 +618,67 @@ std::vector<std::vector<Delivery>> run_reference_model(const Graph& g,
       ++round;
     }
   }
-  EXPECT_GT(stale_checks, 0u)
-      << "no receiver of one round went unaddressed in the next";
-  return observed_log;
+  if (faults == nullptr)
+    EXPECT_GT(stale_checks, 0u)
+        << "no receiver of one round went unaddressed in the next";
+  run.stats = net.stats();
+  return run;
 }
 
 TEST(Network, DeliveryMatchesReferenceModelOnEveryPath) {
-  Rng rng(59);
-  const Graph g = graph::connected_gnp(70, 0.12, rng);
-  const auto serial = run_reference_model(g, 1);
-  EXPECT_EQ(run_reference_model(g, 3), serial);
+  {
+    // Every delivery path and every transition between them, on a graph
+    // small enough that the 3-thread run needs the fan-out forced.
+    Rng rng(59);
+    const Graph g = graph::connected_gnp(70, 0.12, rng);
+    const RoundKind cycle[] = {
+        RoundKind::kQuiet,          RoundKind::kSparseBroadcast,
+        RoundKind::kSparseUnicast,  RoundKind::kDenseBroadcast,
+        RoundKind::kDenseMixed,     RoundKind::kQuiet};
+    const ReferenceRun serial = run_reference_model(g, 1, cycle);
+    const detail::FanOutSeam::Force force;
+    const ReferenceRun forced = run_reference_model(g, 3, cycle);
+    EXPECT_EQ(forced.observed, serial.observed);
+    EXPECT_EQ(forced.stats, serial.stats);
+    for (const std::int64_t phases : forced.fanned_out) EXPECT_GT(phases, 0);
+  }
+  // A schedule that crosses kFanOutMinWork both ways at the real cutoff:
+  // quiet rounds (n steps) and the quiet round after a sparse one stay
+  // inline, a dense broadcast pulls over 2m slots on the pool, and the
+  // sparse unicast round after it steps over ~2m inbox entries on the
+  // pool.  Inline and fanned-out rounds interleave in one run and must
+  // reproduce the serial bytes, fault-free and under an adversary.
+  Rng rng(61);
+  const Graph g = graph::connected_gnp(3000, 16.0 / 3000, rng);
+  ASSERT_LT(g.num_vertices(), kFanOutMinWork);
+  // The dense broadcast reaches 4/5 of the 2m slots.
+  ASSERT_GE(4 * g.adjacency_array().size() / 5, kFanOutMinWork);
+  const RoundKind cycle[] = {RoundKind::kQuiet, RoundKind::kDenseBroadcast,
+                             RoundKind::kSparseUnicast, RoundKind::kQuiet};
+  FaultModel adversary;
+  adversary.drop_rate = 0.1;
+  adversary.corrupt_rate = 0.1;
+  adversary.seed = 77;
+  adversary.crash_schedule = {{1, 5}, {2, 1200}, {5, 2999}, {9, 64}};
+  const FaultModel* const plans[] = {nullptr, &adversary};
+  for (const FaultModel* faults : plans) {
+    const ReferenceRun serial = run_reference_model(g, 1, cycle, faults);
+    EXPECT_EQ(serial.stats.faults.nodes_crashed, faults ? 4 : 0);
+    EXPECT_EQ(serial.stats.faults.messages_dropped > 0, faults != nullptr);
+    EXPECT_EQ(serial.stats.faults.messages_corrupted > 0, faults != nullptr);
+    for (const int threads : {2, 3, 8}) {
+      const ReferenceRun run = run_reference_model(g, threads, cycle, faults);
+      const std::string where = std::to_string(threads) + " threads" +
+                                (faults ? ", under faults" : "");
+      EXPECT_EQ(run.observed, serial.observed) << where;
+      EXPECT_EQ(run.stats, serial.stats) << where;  // FaultStats included
+      // Per pass: quiet inline, dense broadcast's pull and the sparse
+      // unicast's step fanned out, the closing quiet round inline.
+      for (std::size_t r = 0; r < run.fanned_out.size(); ++r)
+        EXPECT_EQ(run.fanned_out[r], r % 4 == 1 || r % 4 == 2 ? 1 : 0)
+            << where << ", round " << r;
+    }
+  }
 }
 
 TEST(Primitives, LeaderElectionFindsMinId) {

@@ -1,6 +1,7 @@
 // Tests for the distributed maximal matching (2-approx G-MVC baseline).
 #include <gtest/gtest.h>
 
+#include "congest/network.hpp"
 #include "core/matching_congest.hpp"
 #include "graph/cover.hpp"
 #include "graph/generators.hpp"
@@ -131,6 +132,11 @@ TEST(MatchingCongest, HubHeavySquarePinnedVertexForVertex) {
       393, 482, 395, 403, 396, 446, 408, 414, 411, 419, 417, 430, 418, 451,
       421, 474, 424, 448, 428, 461, 429, 439, 437, 463, 440, 456, 445, 499,
       457, 466, 458, 476, 469, 495, 471, 481, 479, 485, 491, 492};
+  // G^2 at n = 500 is far below the fan-out cutoff: force the 3-thread
+  // run onto the worker pool.
+  const congest::detail::FanOutSeam::Force force;
+  const std::int64_t before =
+      congest::detail::FanOutSeam::fanned_out_phases();
   for (const int threads : {1, 3}) {
     congest::Network net(g);
     net.set_threads(threads);
@@ -146,6 +152,7 @@ TEST(MatchingCongest, HubHeavySquarePinnedVertexForVertex) {
     EXPECT_EQ(result.stats.messages, 38326);
     EXPECT_EQ(result.stats.total_bits, 306608);
   }
+  EXPECT_GT(congest::detail::FanOutSeam::fanned_out_phases(), before);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #define PG_TEST_HAS_FORK 1
 #endif
 
+#include "congest/network.hpp"
 #include "scenario/fault.hpp"
 #include "scenario/journal.hpp"
 #include "scenario/report.hpp"
@@ -400,7 +402,10 @@ TEST(Watchdog, StallTimesOutUnderParallelCongestRoundsAndNetworksRecycle) {
   // simulator workers and unwind only at round boundaries — stay ok, and
   // the worker's recycled Network (same pool, next topology group) must
   // come back healthy.  Two seeds force the recycle: group 2 reuses the
-  // simulator group 1 released.
+  // simulator group 1 released.  n = 16 is far below the fan-out cutoff,
+  // so the rounds are forced onto the workers.
+  const congest::detail::FanOutSeam::Force force;
+  const std::int64_t fanned = congest::detail::FanOutSeam::fanned_out_phases();
   SweepSpec spec;
   spec.scenarios = {"ba"};
   spec.algorithms = {"mvc", "faulty-stall"};
@@ -432,6 +437,7 @@ TEST(Watchdog, StallTimesOutUnderParallelCongestRoundsAndNetworksRecycle) {
   }
   EXPECT_EQ(timeouts_per_group[0], 1u);  // exactly one timeout row each
   EXPECT_EQ(timeouts_per_group[1], 1u);
+  EXPECT_GT(congest::detail::FanOutSeam::fanned_out_phases(), fanned);
 
   // Byte-identity: the same sweep at 1 simulator thread produces the
   // identical report (congest_threads never enters spec fingerprint,
@@ -452,16 +458,25 @@ TEST(Watchdog, StallTimesOutUnderParallelCongestRoundsAndNetworksRecycle) {
 
 TEST(Watchdog, SweepBytesIdenticalAcrossCongestThreadCounts) {
   // The full-report guarantee behind CI's shard-smoke: --congest-threads
-  // is invisible in the emitted CSV, byte for byte.
+  // is invisible in the emitted CSV, byte for byte — at the real fan-out
+  // cutoff and with every round phase forced onto the workers.
   SweepSpec spec = base_spec(1);
   const SweepRun baseline = sweep_csv(spec);
-  for (const int congest_threads : {2, 4, 8}) {
-    SweepSpec parallel = spec;
-    parallel.congest_threads = congest_threads;
-    const SweepRun run = sweep_csv(parallel);
-    EXPECT_EQ(run.csv, baseline.csv)
-        << "congest_threads=" << congest_threads;
-    EXPECT_EQ(run.summary.ok, baseline.summary.ok);
+  for (const bool forced : {false, true}) {
+    std::optional<congest::detail::FanOutSeam::Force> force;
+    if (forced) force.emplace();
+    const std::int64_t fanned =
+        congest::detail::FanOutSeam::fanned_out_phases();
+    for (const int congest_threads : {2, 4, 8}) {
+      SweepSpec parallel = spec;
+      parallel.congest_threads = congest_threads;
+      const SweepRun run = sweep_csv(parallel);
+      EXPECT_EQ(run.csv, baseline.csv)
+          << "congest_threads=" << congest_threads << " forced=" << forced;
+      EXPECT_EQ(run.summary.ok, baseline.summary.ok);
+    }
+    EXPECT_EQ(congest::detail::FanOutSeam::fanned_out_phases() > fanned,
+              forced);
   }
 }
 
