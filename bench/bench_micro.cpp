@@ -41,23 +41,49 @@ void BM_GnpGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_GnpGenerate)->Arg(128)->Arg(512);
 
+// The exact branch-and-bound kernels on G^2 of a connected G(n, 0.15) —
+// the oracle grid's instance sizes (n <= 64, inside util::Bitset's inline
+// capacity, so search nodes allocate nothing).  The weighted twins draw
+// weights uniformly from [1, 100].
+Graph exact_bench_square(benchmark::State& state, std::uint64_t seed) {
+  Rng rng(seed);
+  return graph::square(graph::connected_gnp(
+      static_cast<graph::VertexId>(state.range(0)), 0.15, rng));
+}
+
+graph::VertexWeights exact_bench_weights(const Graph& g) {
+  Rng rng(8);
+  graph::VertexWeights w(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+    w.set(v, rng.next_int(1, 100));
+  return w;
+}
+
 void BM_ExactMvcOnSquare(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = graph::connected_gnp(
-      static_cast<graph::VertexId>(state.range(0)), 0.15, rng);
-  const Graph sq = graph::square(g);
+  const Graph sq = exact_bench_square(state, 3);
   for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mvc(sq));
 }
-BENCHMARK(BM_ExactMvcOnSquare)->Arg(16)->Arg(24)->Arg(32);
+BENCHMARK(BM_ExactMvcOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
+
+void BM_ExactMwvcOnSquare(benchmark::State& state) {
+  const Graph sq = exact_bench_square(state, 3);
+  const graph::VertexWeights w = exact_bench_weights(sq);
+  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mwvc(sq, w));
+}
+BENCHMARK(BM_ExactMwvcOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 void BM_ExactMdsOnSquare(benchmark::State& state) {
-  Rng rng(4);
-  const Graph g = graph::connected_gnp(
-      static_cast<graph::VertexId>(state.range(0)), 0.15, rng);
-  const Graph sq = graph::square(g);
+  const Graph sq = exact_bench_square(state, 4);
   for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mds(sq));
 }
-BENCHMARK(BM_ExactMdsOnSquare)->Arg(16)->Arg(24)->Arg(32);
+BENCHMARK(BM_ExactMdsOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
+
+void BM_ExactMwdsOnSquare(benchmark::State& state) {
+  const Graph sq = exact_bench_square(state, 4);
+  const graph::VertexWeights w = exact_bench_weights(sq);
+  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mwds(sq, w));
+}
+BENCHMARK(BM_ExactMwdsOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 // The implicit-power-graph headline: (1+eps)-approximate MVC of G^2 on a
 // power-law Chung-Lu graph without ever materializing G^2 (the n = 10^5

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/cancel.hpp"
+
 namespace pg::clique {
 
 CliqueNetwork::CliqueNetwork(graph::GraphView input_graph)
@@ -15,6 +17,10 @@ CliqueNetwork::CliqueNetwork(graph::GraphView input_graph)
 }
 
 void CliqueNetwork::round(const std::function<void(NodeView&)>& step) {
+  // Cancellation point for the sweep runner's per-cell watchdog, as in
+  // congest::Network::round: an over-budget clique cell unwinds at its
+  // next round boundary, not only inside its exact solve.
+  pg::cancel::poll();
   last_round_messages_ = 0;
   for (NodeId v = 0; v < static_cast<NodeId>(n()); ++v) {
     NodeView view(this, v);

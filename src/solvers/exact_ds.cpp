@@ -32,6 +32,14 @@ constexpr Weight kInfinity = std::numeric_limits<Weight>::max() / 4;
 /// the ones already tried from later branches.  Lower bound: greedy packing
 /// of uncovered elements with pairwise-disjoint dominator sets, each paying
 /// its cheapest live dominator.
+///
+/// A search node allocates nothing when the instance has at most 256
+/// elements and candidates: its bitsets live inline (util::Bitset), live
+/// dominator sets are scanned with the word-wise "common" helpers instead
+/// of materialized, the lower bound reuses a solver-owned bitset, and the
+/// branch options of every open node share one stack reserved up front.
+/// The search tree itself (node order, pruning, nodes_explored, solution
+/// bits) is pinned by the golden test in tests/solvers_test.cpp.
 class SetCoverSolver {
  public:
   SetCoverSolver(const SetCoverInstance& instance, std::int64_t budget,
@@ -105,11 +113,12 @@ class SetCoverSolver {
     // live dominator covering a superset), so an active element with no
     // live dominator means the instance itself is infeasible.
     const std::size_t num_elements = instance_.num_elements;
+    std::size_t option_capacity = 0;
     for (std::size_t e = 0; e < num_elements; ++e) {
       if (covered.test(e) || ignored_elements_.test(e)) continue;
-      Bitset doms = dominators_[e];
-      doms &= live;
-      if (doms.none()) {
+      const std::size_t live_dominators =
+          dominators_[e].intersection_count(live);
+      if (live_dominators == 0) {
         PG_CHECK(dominators_[e].none(),
                  "dominance pruning removed every dominator");
         ExactResult result;  // infeasible instance
@@ -119,7 +128,13 @@ class SetCoverSolver {
         return result;
       }
       active_.push_back(e);
+      option_capacity += live_dominators;
     }
+    // Every node on a search path branches on a distinct active element
+    // (the branch covers it), so the open nodes' options never outgrow
+    // this: the stack is never reallocated mid-search.
+    options_.reserve(option_capacity);
+    used_ = Bitset(num_candidates);
 
     // Greedy incumbent for pruning.
     seed_greedy(covered, live, chosen, cost);
@@ -185,21 +200,19 @@ class SetCoverSolver {
   }
 
   /// Greedy disjoint-dominator packing lower bound.
-  Weight lower_bound(const Bitset& covered, const Bitset& live) const {
-    Bitset used(instance_.coverage.size());
+  Weight lower_bound(const Bitset& covered, const Bitset& live) {
+    used_.clear();
     Weight bound = 0;
     for (std::size_t e : active_) {
       if (covered.test(e)) continue;
-      Bitset doms = dominators_[e];
-      doms &= live;
-      if (doms.intersection_count(used) > 0) continue;
+      if (dominators_[e].intersects(live, used_)) continue;
       Weight cheapest = kInfinity;
-      doms.for_each([&](std::size_t c) {
+      dominators_[e].for_each_common(live, [&](std::size_t c) {
         cheapest = std::min(cheapest, instance_.costs[c]);
       });
       if (cheapest == kInfinity) return kInfinity;  // dead branch
       bound += cheapest;
-      used |= doms;
+      used_.or_and(dominators_[e], live);
     }
     return bound;
   }
@@ -235,35 +248,48 @@ class SetCoverSolver {
     PG_CHECK(pick < instance_.num_elements, "no uncovered element to branch on");
     if (pick_count == 0) return;  // infeasible branch
 
-    Bitset doms = dominators_[pick];
-    doms &= live;
-    std::vector<std::size_t> order;
-    doms.for_each([&](std::size_t c) { order.push_back(c); });
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const auto ga = instance_.coverage[a].difference_count(covered);
-      const auto gb = instance_.coverage[b].difference_count(covered);
-      if (ga != gb) return ga > gb;
-      if (instance_.costs[a] != instance_.costs[b])
-        return instance_.costs[a] < instance_.costs[b];
-      return a < b;
+    // This node's options occupy options_[base, end): largest residual
+    // coverage first, then cheapest, then lowest index — a total order, so
+    // the sort is deterministic.  Children push above `end` and pop back.
+    const std::size_t base = options_.size();
+    dominators_[pick].for_each_common(live, [&](std::size_t c) {
+      options_.push_back(
+          {instance_.coverage[c].difference_count(covered), c});
     });
+    const std::size_t end = options_.size();
+    std::sort(options_.begin() + static_cast<std::ptrdiff_t>(base),
+              options_.end(), [&](const Option& a, const Option& b) {
+                if (a.gain != b.gain) return a.gain > b.gain;
+                const Weight ca = instance_.costs[a.candidate];
+                const Weight cb = instance_.costs[b.candidate];
+                if (ca != cb) return ca < cb;
+                return a.candidate < b.candidate;
+              });
 
+    // Later branches must not reuse an earlier branch's candidate, so each
+    // one leaves `live` before its branch runs and stays out.
     Bitset branch_live = live;
-    for (std::size_t c : order) {
+    for (std::size_t i = base; i < end && !done(); ++i) {
+      const std::size_t c = options_[i].candidate;
       Bitset next_covered = covered;
       next_covered |= instance_.coverage[c];
-      Bitset next_live = branch_live;
-      next_live.reset(c);
+      branch_live.reset(c);
       chosen.set(c);
-      recurse(next_covered, next_live, chosen, cost + instance_.costs[c]);
+      recurse(next_covered, branch_live, chosen, cost + instance_.costs[c]);
       chosen.reset(c);
-      if (done()) return;
-      branch_live.reset(c);  // later branches must not reuse c
     }
+    options_.resize(base);
   }
+
+  struct Option {
+    std::size_t gain;       // uncovered elements the candidate would cover
+    std::size_t candidate;
+  };
 
   const SetCoverInstance& instance_;
   std::vector<Bitset> dominators_;
+  std::vector<Option> options_;  // branch options of every open node
+  Bitset used_;                  // reused by lower_bound
   Bitset ignored_elements_;
   std::vector<std::size_t> active_;
   Weight best_cost_ = kInfinity;

@@ -24,6 +24,13 @@ namespace {
 /// Reductions: isolated vertices are dropped; a degree-1 vertex u whose
 /// neighbor v is no heavier than u forces v in.  Lower bound: greedy
 /// vertex-disjoint edges, each costing min of its endpoint weights.
+///
+/// A search node allocates nothing when n <= 256: its `alive`/`cover`
+/// bitsets live inline (util::Bitset), residual neighborhoods are scanned
+/// with the word-wise "common" helpers instead of materialized, and the
+/// lower bound and the branching pick reuse solver-owned buffers.  The
+/// search tree itself (node order, pruning, nodes_explored, solution bits)
+/// is pinned by the golden test in tests/solvers_test.cpp.
 class VcSolver {
  public:
   VcSolver(GraphView g, const VertexWeights* w, std::int64_t budget,
@@ -37,6 +44,8 @@ class VcSolver {
         weight_[static_cast<std::size_t>(v)] = (*w)[v];
       }
     adj_.assign(n, Bitset(n));
+    unused_ = Bitset(n);
+    degree_.assign(n, 0);
     g.for_each_edge([&](VertexId u, VertexId v) {
       adj_[static_cast<std::size_t>(u)].set(static_cast<std::size_t>(v));
       adj_[static_cast<std::size_t>(v)].set(static_cast<std::size_t>(u));
@@ -77,17 +86,15 @@ class VcSolver {
     return adj_[v].intersection_count(alive);
   }
 
-  Weight matching_lower_bound(const Bitset& alive) const {
-    Bitset unused = alive;
+  Weight matching_lower_bound(const Bitset& alive) {
+    unused_ = alive;
     Weight bound = 0;
     alive.for_each([&](std::size_t u) {
-      if (!unused.test(u)) return;
-      Bitset candidates = adj_[u];
-      candidates &= unused;
-      const std::size_t v = candidates.first_set();
-      if (v >= candidates.size()) return;
-      unused.reset(u);
-      unused.reset(v);
+      if (!unused_.test(u)) return;
+      const std::size_t v = adj_[u].first_common(unused_);
+      if (v >= unused_.size()) return;
+      unused_.reset(u);
+      unused_.reset(v);
       bound += std::min(weight_[u], weight_[v]);
     });
     return bound;
@@ -122,19 +129,20 @@ class VcSolver {
 
     // Reductions, applied in full passes (each pass handles every vertex
     // whose rule currently fires; chains resolve in O(chain length) passes).
+    // The last pass changes nothing, so the degrees it records in degree_
+    // are exact for the branching pick below.
     bool changed = true;
     while (changed) {
       changed = false;
       alive.for_each([&](std::size_t v) {
         if (!alive.test(v)) return;  // removed earlier in this pass
         const std::size_t d = residual_degree(alive, v);
+        degree_[v] = d;
         if (d == 0) {
           alive.reset(v);
           changed = true;
         } else if (d == 1) {
-          Bitset nbrs = adj_[v];
-          nbrs &= alive;
-          const std::size_t u = nbrs.first_set();
+          const std::size_t u = adj_[v].first_common(alive);
           if (weight_[u] <= weight_[v]) {
             cover.set(u);
             cost += weight_[u];
@@ -148,11 +156,8 @@ class VcSolver {
           // holds two of the triangle, and the two neighbors cover a
           // superset of what any other pair covers.  (Weight-safe when
           // neither neighbor is heavier than the tip.)
-          Bitset nbrs = adj_[v];
-          nbrs &= alive;
-          const std::size_t a = nbrs.first_set();
-          nbrs.reset(a);
-          const std::size_t b = nbrs.first_set();
+          const std::size_t a = adj_[v].first_common(alive);
+          const std::size_t b = adj_[v].first_common(alive, a + 1);
           if (adj_[a].test(b) && weight_[a] <= weight_[v] &&
               weight_[b] <= weight_[v]) {
             cover.set(a);
@@ -172,7 +177,7 @@ class VcSolver {
     std::size_t pick = alive.size();
     std::size_t pick_degree = 0;
     alive.for_each([&](std::size_t v) {
-      const std::size_t d = residual_degree(alive, v);
+      const std::size_t d = degree_[v];
       if (d > pick_degree ||
           (d == pick_degree && pick != alive.size() && d > 0 &&
            weight_[v] > weight_[pick])) {
@@ -188,8 +193,9 @@ class VcSolver {
 
     if (cost + matching_lower_bound(alive) >= bound()) return;
 
-    // Branch 2 first when excluding is cheap?  Keep deterministic order:
-    // include `pick`, then exclude it (forcing its neighborhood).
+    // Deterministic order: include `pick`, then exclude it (forcing its
+    // neighborhood).  The exclude branch is the last use of this node's
+    // state, so it takes `alive`/`cover` over instead of copying them.
     {
       Bitset alive2 = alive;
       Bitset cover2 = cover;
@@ -198,25 +204,21 @@ class VcSolver {
       recurse(std::move(alive2), std::move(cover2), cost + weight_[pick]);
     }
     if (done()) return;
-    {
-      Bitset nbrs = adj_[pick];
-      nbrs &= alive;
-      Weight extra = 0;
-      Bitset alive2 = alive;
-      Bitset cover2 = cover;
-      nbrs.for_each([&](std::size_t u) {
-        cover2.set(u);
-        extra += weight_[u];
-        alive2.reset(u);
-      });
-      alive2.reset(pick);
-      recurse(std::move(alive2), std::move(cover2), cost + extra);
-    }
+    Weight extra = 0;
+    adj_[pick].for_each_common(alive, [&](std::size_t u) {
+      cover.set(u);
+      extra += weight_[u];
+      alive.reset(u);
+    });
+    alive.reset(pick);
+    recurse(std::move(alive), std::move(cover), cost + extra);
   }
 
   const GraphView g_;
   std::vector<Bitset> adj_;
   std::vector<Weight> weight_;
+  Bitset unused_;                    // reused by matching_lower_bound
+  std::vector<std::size_t> degree_;  // residual degrees, last reduction pass
   std::vector<bool> best_cover_;
   Weight best_cost_ = 0;
   std::int64_t budget_;
@@ -227,8 +229,9 @@ class VcSolver {
 
 }  // namespace
 
-ExactResult solve_mvc(GraphView g, std::int64_t node_budget) {
-  return VcSolver(g, nullptr, node_budget, std::nullopt).run();
+ExactResult solve_mvc(GraphView g, std::int64_t node_budget,
+                      std::optional<Weight> decision_target) {
+  return VcSolver(g, nullptr, node_budget, decision_target).run();
 }
 
 ExactResult solve_mwvc(GraphView g, const VertexWeights& w,
@@ -240,7 +243,7 @@ ExactResult solve_mwvc(GraphView g, const VertexWeights& w,
 std::optional<bool> has_vc_of_size_at_most(GraphView g, Weight k,
                                            std::int64_t node_budget) {
   if (k < 0) return false;
-  const ExactResult result = VcSolver(g, nullptr, node_budget, k).run();
+  const ExactResult result = solve_mvc(g, node_budget, k);
   if (result.value <= k) return true;   // found a witness (even if aborted)
   if (!result.optimal) return std::nullopt;
   return false;

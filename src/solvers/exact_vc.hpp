@@ -23,9 +23,13 @@ struct ExactResult {
 
 inline constexpr std::int64_t kDefaultNodeBudget = 50'000'000;
 
-/// Minimum vertex cover (unweighted).
+/// Minimum vertex cover (unweighted).  With a `decision_target` k the
+/// search only looks for a cover of size <= k: it prunes branches that
+/// cannot reach one and stops at the first it finds (the run behind
+/// has_vc_of_size_at_most; `value` stays above k when there is none).
 ExactResult solve_mvc(graph::GraphView g,
-                      std::int64_t node_budget = kDefaultNodeBudget);
+                      std::int64_t node_budget = kDefaultNodeBudget,
+                      std::optional<graph::Weight> decision_target = {});
 
 /// Minimum weighted vertex cover.  Weights must be non-negative.
 ExactResult solve_mwvc(graph::GraphView g, const graph::VertexWeights& w,

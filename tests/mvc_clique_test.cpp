@@ -2,6 +2,7 @@
 // Theorem 11 (randomized voting) — validity, approximation, round scaling.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "clique/clique.hpp"
@@ -10,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
 #include "solvers/exact_vc.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace pg::core {
@@ -18,6 +20,17 @@ namespace {
 using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
+
+TEST(CliqueNetwork, ExpiredCancelTokenThrowsAtFirstRound) {
+  clique::CliqueNetwork net(graph::path_graph(4));
+  const std::atomic<bool> expired{true};
+  const cancel::Scope scope(&expired);
+  int steps = 0;
+  EXPECT_THROW(net.round([&](clique::NodeView&) { ++steps; }),
+               cancel::Cancelled);
+  EXPECT_EQ(steps, 0);
+  EXPECT_EQ(net.stats().rounds, 0);
+}
 
 TEST(CliqueNetwork, ModelEnforcement) {
   clique::CliqueNetwork net(graph::path_graph(4));

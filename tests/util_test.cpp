@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/bitset.hpp"
 #include "util/check.hpp"
@@ -102,6 +104,124 @@ TEST(Bitset, SetAlgebra) {
   std::vector<std::size_t> seen;
   a.for_each([&](std::size_t idx) { seen.push_back(idx); });
   EXPECT_EQ(seen, (std::vector<std::size_t>{1, 65}));
+}
+
+/// A bitset of `bits` with each bit set with probability 1/2 (or, with
+/// `sparse`, 1/16, so intersections are often empty).
+Bitset random_bitset(std::size_t bits, Rng& rng, bool sparse = false) {
+  Bitset b(bits);
+  for (std::size_t i = 0; i < bits; ++i)
+    if (rng.next_below(sparse ? 16 : 2) == 0) b.set(i);
+  return b;
+}
+
+std::vector<std::size_t> bits_of(const Bitset& b) {
+  std::vector<std::size_t> out;
+  b.for_each([&](std::size_t i) { out.push_back(i); });
+  return out;
+}
+
+TEST(Bitset, CommonHelpersMatchMaterializedIntersections) {
+  Rng rng(17);
+  for (const std::size_t bits : {1, 63, 64, 65, 200, 255, 256, 257, 1000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const bool sparse = trial % 2 == 1;
+      const Bitset x = random_bitset(bits, rng, sparse);
+      const Bitset a = random_bitset(bits, rng, sparse);
+      const Bitset b = random_bitset(bits, rng, sparse);
+      Bitset xa = x;
+      xa &= a;
+      Bitset xab = xa;
+      xab &= b;
+
+      // first_common(other, from) == first bit >= from of x & a.
+      for (std::size_t from = 0; from <= bits; ++from) {
+        std::size_t want = bits;
+        for (std::size_t i = from; i < bits; ++i)
+          if (xa.test(i)) {
+            want = i;
+            break;
+          }
+        ASSERT_EQ(x.first_common(a, from), want) << bits << " from " << from;
+      }
+      EXPECT_EQ(x.first_common(a, bits + 5), bits);
+      EXPECT_EQ(x.first_common(a), xa.first_set());
+
+      std::vector<std::size_t> common;
+      x.for_each_common(a, [&](std::size_t i) { common.push_back(i); });
+      EXPECT_EQ(common, bits_of(xa));
+
+      EXPECT_EQ(x.intersects(a, b), xab.any());
+
+      Bitset via_helper = b;
+      via_helper.or_and(x, a);
+      Bitset materialized = b;
+      materialized |= xa;
+      EXPECT_EQ(via_helper, materialized);
+    }
+  }
+  Bitset empty;
+  EXPECT_EQ(empty.first_common(empty), 0u);
+  EXPECT_FALSE(empty.intersects(empty, empty));
+  EXPECT_THROW(Bitset(8).first_common(Bitset(9)), PreconditionViolation);
+  EXPECT_THROW(Bitset(8).or_and(Bitset(8), Bitset(9)), PreconditionViolation);
+}
+
+TEST(Bitset, CopyMoveAndReassignAcrossInlineAndHeapStorage) {
+  const std::size_t sizes[] = {0, 1, 64, 255, 256, 257, 1000};
+  Rng rng(23);
+  for (const std::size_t from : sizes) {
+    const Bitset original = random_bitset(from, rng);
+    const std::vector<std::size_t> original_bits = bits_of(original);
+
+    Bitset copy(original);
+    EXPECT_EQ(copy, original);
+    if (from > 0) {
+      copy.set(from - 1);
+      copy.reset(0);
+      EXPECT_EQ(bits_of(original), original_bits) << "copy shares storage";
+    }
+
+    Bitset source = original;
+    Bitset moved(std::move(source));
+    EXPECT_EQ(moved, original);
+    source = original;  // a moved-from bitset is reusable
+    EXPECT_EQ(source, original);
+
+    Bitset self = original;
+    Bitset& alias = self;
+    self = alias;
+    EXPECT_EQ(self, original);
+    self = std::move(alias);
+    EXPECT_EQ(self, original);
+
+    for (const std::size_t to : sizes) {
+      const Bitset target = random_bitset(to, rng);
+
+      Bitset assigned = original;
+      assigned = target;
+      EXPECT_EQ(assigned, target) << from << " -> " << to;
+      EXPECT_EQ(assigned.size(), to);
+      if (to > 0) {
+        assigned.set(to - 1);
+        assigned.reset(0);
+        Bitset fresh = random_bitset(to, rng);
+        fresh = assigned;
+        EXPECT_EQ(fresh, assigned);
+      }
+      EXPECT_EQ(bits_of(original), original_bits);
+
+      Bitset move_assigned = original;
+      Bitset donor = target;
+      move_assigned = std::move(donor);
+      EXPECT_EQ(move_assigned, target) << from << " -> " << to;
+
+      Bitset left = original, right = target;
+      swap(left, right);
+      EXPECT_EQ(left, target);
+      EXPECT_EQ(right, original);
+    }
+  }
 }
 
 TEST(Check, MacrosThrowTheRightTypes) {
