@@ -1,6 +1,6 @@
 // E13 — substrate micro-benchmarks (google-benchmark): graph squaring,
-// generators, exact solvers, and simulator round overhead.  These are the
-// operations every experiment binary leans on.
+// generators, implicit G^r probes, exact solvers, and simulator round
+// overhead.  These are the operations every experiment binary leans on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,8 +10,10 @@
 #include "core/gr_mvc.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
+#include "graph/power_view.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/exact_vc.hpp"
+#include "solvers/greedy.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -99,6 +101,40 @@ void BM_GrMvcLarge(benchmark::State& state) {
 BENCHMARK(BM_GrMvcLarge)
     ->Arg(4096)
     ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// The implicit G^r layer (PowerView ball probes) on the input shape of
+// perfbench's implicit-powerlaw workload: a linked Chung-Lu graph,
+// exponent 2.5, average degree 4, whose hubs make G^3 dense.  Args:
+// {n, r}.  The edge count is the sweep's target_edges; the weighted local
+// ratio is gr-mwvc's baseline (weights uniform in [1, 100]).
+Graph power_view_bench_graph(benchmark::State& state) {
+  Rng rng(9);
+  return graph::link_components(graph::chung_lu(
+      static_cast<graph::VertexId>(state.range(0)), 2.5, 4.0, rng));
+}
+
+void BM_PowerViewEdgeCount(benchmark::State& state) {
+  const Graph g = power_view_bench_graph(state);
+  const int r = static_cast<int>(state.range(1));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(graph::PowerView(g, r).num_edges());
+}
+BENCHMARK(BM_PowerViewEdgeCount)
+    ->ArgNames({"n", "r"})
+    ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LocalRatioMwvcPower(benchmark::State& state) {
+  const Graph g = power_view_bench_graph(state);
+  const graph::VertexWeights w = exact_bench_weights(g);
+  const int r = static_cast<int>(state.range(1));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(solvers::local_ratio_mwvc_power(g, r, w));
+}
+BENCHMARK(BM_LocalRatioMwvcPower)
+    ->ArgNames({"n", "r"})
+    ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CongestBroadcastRound(benchmark::State& state) {

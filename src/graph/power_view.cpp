@@ -1,6 +1,8 @@
 #include "graph/power_view.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace pg::graph {
 
@@ -21,8 +23,93 @@ std::size_t PowerView::degree(VertexId center) {
 
 std::size_t PowerView::num_edges() {
   if (cached_edges_ != kNoCache) return cached_edges_;
+  const VertexId n = g_.num_vertices();
+  const auto un = static_cast<std::size_t>(n);
+
+  // Sources in BFS order of G, component by component: the 64 sources of
+  // a batch then sit close together and their balls overlap.
+  std::vector<VertexId> order;
+  order.reserve(un);
+  {
+    std::vector<char> queued(un, 0);
+    for (VertexId root = 0; root < n; ++root) {
+      if (queued[static_cast<std::size_t>(root)]) continue;
+      queued[static_cast<std::size_t>(root)] = 1;
+      order.push_back(root);
+      for (std::size_t head = order.size() - 1; head < order.size(); ++head)
+        for (VertexId w : g_.neighbors(order[head]))
+          if (!queued[static_cast<std::size_t>(w)]) {
+            queued[static_cast<std::size_t>(w)] = 1;
+            order.push_back(w);
+          }
+    }
+  }
+
+  // Bit i of seen[v] / visit[v] / visit_next[v]: v is within the current
+  // depth of / on the current / on the next BFS layer of source i of the
+  // batch.  A layer clears visit[] as it reads it and the last layer
+  // writes no visit_next[], so both are all-zero between batches.  When
+  // the batch ends, the vertices seen[] touched are counted (one popcount
+  // each, less each source's own bit) and reset.
+  std::vector<std::uint64_t> seen(un, 0), visit(un, 0), visit_next(un, 0);
+  // A vertex enters a layer, and the touched list, at most once per
+  // batch.  So the lists never outgrow n, and each edge appends with an
+  // unconditional write plus a 0/1 size step (one spare slot): whether a
+  // row entry is new to the batch is a coin flip no branch predicts.
+  std::vector<VertexId> layer(un + 1), next_layer(un + 1), touched(un + 1);
   std::size_t reach = 0;
-  for (VertexId v = 0; v < g_.num_vertices(); ++v) reach += degree(v);
+  for (std::size_t first = 0; first < un; first += 64) {
+    pg::cancel::poll();
+    const std::size_t batch = std::min<std::size_t>(64, un - first);
+    std::size_t layer_size = batch, num_touched = batch;
+    for (std::size_t i = 0; i < batch; ++i) {
+      const VertexId s = order[first + i];
+      layer[i] = touched[i] = s;
+      seen[static_cast<std::size_t>(s)] = visit[static_cast<std::size_t>(s)] =
+          std::uint64_t{1} << i;
+    }
+    for (int d = 1; d < r_ && layer_size > 0; ++d) {
+      std::size_t next_size = 0;
+      for (std::size_t k = 0; k < layer_size; ++k) {
+        const auto u = static_cast<std::size_t>(layer[k]);
+        const std::uint64_t bits = visit[u];
+        visit[u] = 0;
+        for (VertexId w : g_.neighbors(layer[k])) {
+          const auto uw = static_cast<std::size_t>(w);
+          const std::uint64_t had = seen[uw];
+          const std::uint64_t fresh = bits & ~had;
+          touched[num_touched] = w;
+          num_touched += had == 0;
+          next_layer[next_size] = w;
+          next_size += fresh != 0 && visit_next[uw] == 0;
+          seen[uw] = had | bits;
+          visit_next[uw] |= fresh;
+        }
+      }
+      std::swap(layer, next_layer);
+      std::swap(visit, visit_next);
+      layer_size = next_size;
+    }
+    // The last layer is never expanded, so it only widens seen[].
+    for (std::size_t k = 0; k < layer_size; ++k) {
+      const auto u = static_cast<std::size_t>(layer[k]);
+      const std::uint64_t bits = visit[u];
+      visit[u] = 0;
+      for (VertexId w : g_.neighbors(layer[k])) {
+        const auto uw = static_cast<std::size_t>(w);
+        touched[num_touched] = w;
+        num_touched += seen[uw] == 0;
+        seen[uw] |= bits;
+      }
+    }
+    std::size_t batch_reach = 0;
+    for (std::size_t k = 0; k < num_touched; ++k) {
+      auto& sv = seen[static_cast<std::size_t>(touched[k])];
+      batch_reach += static_cast<std::size_t>(std::popcount(sv));
+      sv = 0;
+    }
+    reach += batch_reach - batch;
+  }
   cached_edges_ = reach / 2;  // G^r is symmetric
   return cached_edges_;
 }

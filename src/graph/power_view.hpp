@@ -25,9 +25,12 @@
 namespace pg::graph {
 
 /// Read-only oracle over G^r (r >= 1).  Holds O(n) scratch (stamp marks
-/// and two frontier arrays) that is reused across queries, so a sweep of
-/// n ball queries costs O(sum of ball sizes), not O(n^2).  Queries mutate
-/// the scratch: a PowerView is not thread-safe; give each worker its own.
+/// and two frontier arrays) that is reused across queries, so no query
+/// pays O(n) to reset it.  A depth-d ball costs the degree sum of its
+/// (d-1)-ball — every row of a vertex nearer than d is scanned once —
+/// which on hub-heavy graphs is far more than the ball's size.  Queries
+/// mutate the scratch: a PowerView is not thread-safe; give each worker
+/// its own.
 class PowerView {
  public:
   PowerView(GraphView g, int r)
@@ -55,13 +58,16 @@ class PowerView {
     frontier_.clear();
     frontier_.push_back(center);
     for (int d = 0; d < depth && !frontier_.empty(); ++d) {
+      // The last layer is reported but never expanded, so it is not
+      // queued: on hub-heavy graphs it is most of the ball.
+      const bool expand = d + 1 < depth;
       next_.clear();
       for (VertexId u : frontier_) {
         for (VertexId w : g_.neighbors(u)) {
           auto& m = mark_[static_cast<std::size_t>(w)];
           if (m == stamp) continue;
           m = stamp;
-          next_.push_back(w);
+          if (expand) next_.push_back(w);
           fn(w);
         }
       }
@@ -81,8 +87,14 @@ class PowerView {
   /// |N_{G^r}(center)|.
   std::size_t degree(VertexId center);
 
-  /// |E(G^r)|, by summing truncated-BFS reach counts over all sources.
-  /// Cached after the first call.
+  /// |E(G^r)|: half the sum of all G^r degrees, counted by a bit-parallel
+  /// multi-source BFS (Then et al., VLDB 2015) over batches of 64 sources
+  /// taken in BFS order of G.  Every vertex holds a 64-bit "reached by
+  /// source i" mask, so a row is scanned once per BFS level for the whole
+  /// batch instead of once per source whose ball reaches it — neighboring
+  /// sources share most of their balls.  Polls cancellation once per
+  /// batch.  The O(n) mask scratch lives only for the call.  Cached after
+  /// the first call.
   std::size_t num_edges();
 
   /// True iff u != v and dist_G(u, v) <= r.
@@ -101,8 +113,8 @@ class PowerView {
 /// Subgraph of G^r induced by `vertices` (distinct ids, any order), built
 /// by truncated BFS from the subset only — never the full G^r.  Exactly
 /// equal (ids, CSR rows, mappings) to
-/// `induced_subgraph(power(g, r), vertices)`, but costs
-/// O(sum of subset ball sizes) instead of |E(G^r)|.
+/// `induced_subgraph(power(g, r), vertices)`, but costs one ball per
+/// subset vertex (the degree sum of its (r-1)-ball) instead of |E(G^r)|.
 InducedSubgraph induced_power_subgraph(GraphView g, int r,
                                        std::span<const VertexId> vertices);
 

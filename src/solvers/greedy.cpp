@@ -1,6 +1,7 @@
 #include "solvers/greedy.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 #include "graph/power_view.hpp"
@@ -46,7 +47,6 @@ VertexSet greedy_ds_impl(GraphView g, const VertexWeights* w) {
 
   while (num_dominated < n) {
     VertexId best = -1;
-    std::size_t best_gain = 0;
     double best_score = -1.0;
     for (VertexId c = 0; c < g.num_vertices(); ++c) {
       if (ds.contains(c)) continue;
@@ -61,7 +61,6 @@ VertexSet greedy_ds_impl(GraphView g, const VertexWeights* w) {
       if (score > best_score) {
         best_score = score;
         best = c;
-        best_gain = gain;
       }
     }
     PG_CHECK(best != -1, "greedy DS stalled before full domination");
@@ -75,7 +74,6 @@ VertexSet greedy_ds_impl(GraphView g, const VertexWeights* w) {
         dominated[static_cast<std::size_t>(u)] = true;
         ++num_dominated;
       }
-    (void)best_gain;
   }
   return ds;
 }
@@ -125,10 +123,14 @@ namespace {
 /// The materialized loop walks rows u ascending and each row's sorted
 /// neighbors v > u.  An edge only moves residuals when both endpoints
 /// still hold weight, so rows with residual 0 are pure no-ops (every
-/// delta is 0) and a live row is done the moment its own residual
-/// empties — the skips below change nothing observable.  The single
-/// definition is load-bearing: local_ratio_mwvc_power's equivalence
-/// proofs and solve_gr_mwvc's remainder scoring must stay in lockstep.
+/// delta is 0), a live row only needs its entries v > u with residual
+/// left (inactive vertices start at 0), and it is done the moment its own
+/// residual empties.  While row u runs, only u and the row's own entries
+/// change, so filtering the row before ordering it drops exactly the
+/// zero-delta entries — the skips below change nothing observable.  The
+/// single definition is load-bearing: local_ratio_mwvc_power's
+/// equivalence proofs and solve_gr_mwvc's remainder scoring must stay in
+/// lockstep.
 std::vector<Weight> power_residual_transfer(GraphView g, int r,
                                             const VertexWeights& w,
                                             const std::vector<bool>* active) {
@@ -140,16 +142,28 @@ std::vector<Weight> power_residual_transfer(GraphView g, int r,
       residual[static_cast<std::size_t>(v)] = w[v];
   }
   graph::PowerView view(g, r);
+  // A ball holds at most n - 1 vertices, so the gather appends with an
+  // unconditional write and a 0/1 size step: whether an entry survives
+  // the filter is a coin flip no branch predicts.
+  std::vector<VertexId> row(static_cast<std::size_t>(n));
   for (VertexId u = 0; u < n; ++u) {
-    if (active != nullptr && !(*active)[static_cast<std::size_t>(u)])
-      continue;
     auto& ru = residual[static_cast<std::size_t>(u)];
-    if (ru == 0) continue;
-    for (VertexId v : view.neighbors(u)) {  // sorted, matches the CSR row
-      if (v <= u) continue;
-      if (active != nullptr && !(*active)[static_cast<std::size_t>(v)])
-        continue;
-      auto& rv = residual[static_cast<std::size_t>(v)];
+    if (ru == 0) continue;  // also every inactive u
+    std::size_t size = 0;
+    view.for_each_neighbor(u, [&](VertexId v) {
+      row[size] = v;
+      size += v > u && residual[static_cast<std::size_t>(v)] != 0;
+    });
+    // The CSR row's order is ascending id, but a row usually empties
+    // after a few entries: a min-heap hands them out in that order
+    // without sorting the rest.
+    const auto begin = row.begin();
+    auto end = begin + static_cast<std::ptrdiff_t>(size);
+    std::make_heap(begin, end, std::greater<>());
+    while (begin != end) {
+      std::pop_heap(begin, end, std::greater<>());
+      --end;
+      auto& rv = residual[static_cast<std::size_t>(*end)];
       const Weight delta = std::min(ru, rv);
       ru -= delta;
       rv -= delta;

@@ -43,10 +43,12 @@ graph::VertexSet greedy_mds_power(graph::GraphView g, int r);
 
 /// Exactly local_ratio_mwvc(power(g, r), w): the Bar-Yehuda–Even local
 /// ratio over G^r's edges in for_each_edge order, simulated row by row
-/// with one sorted ball per still-positive-residual vertex — rows whose
-/// residual is already zero contribute only zero deltas and are skipped,
-/// and a row stops early once its own residual empties.  2-approximate
-/// weighted MVC of G^r; with unit weights this is vertex-for-vertex
+/// with one ball scan per still-positive-residual vertex u.  Only the
+/// ball's entries v > u that still hold residual can move weight, so only
+/// those are kept, and a min-heap hands them out in row (id) order until
+/// u's own residual empties.  Rows whose residual is already zero
+/// contribute only zero deltas and are skipped.  2-approximate weighted
+/// MVC of G^r; with unit weights this is vertex-for-vertex
 /// local_ratio_mvc_power.
 graph::VertexSet local_ratio_mwvc_power(graph::GraphView g, int r,
                                         const graph::VertexWeights& w);

@@ -6,6 +6,7 @@
 // power_sparse pass is pinned byte-identical to the serial one here too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "graph/power.hpp"
 #include "graph/power_view.hpp"
 #include "solvers/greedy.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace pg::graph {
@@ -55,6 +57,67 @@ TEST(PowerView, NeighborsDegreesAndEdgeCountMatchMaterialized) {
       }
     }
   }
+}
+
+// num_edges counts in batches of 64 sources taken in BFS order, so these
+// instances sit on and across batch boundaries: sizes 1, 63, 64, 65, 129
+// and ~300, with isolated vertices, several components, and a star whose
+// hub is neither first in its batch nor first in its id block.
+std::vector<Graph> batch_boundary_instances() {
+  std::vector<Graph> out;
+  Rng rng(233);
+  out.push_back(GraphBuilder(1).build());
+  out.push_back(path_graph(63));
+  out.push_back(gnp(64, 2.0 / 64, rng));  // isolated vertices likely
+  out.push_back(link_components(chung_lu(65, 2.5, 4.0, rng)));
+  {
+    // Three components plus isolated vertices: a path on 0..39, a star on
+    // 40..120 with its hub at id 100, a triangle on 121..123, and
+    // 124..128 isolated.  BFS order puts the hub at position 41.
+    GraphBuilder b(129);
+    for (VertexId v = 0; v + 1 < 40; ++v) b.add_edge(v, v + 1);
+    for (VertexId v = 40; v <= 120; ++v)
+      if (v != 100) b.add_edge(100, v);
+    b.add_edge(121, 122);
+    b.add_edge(122, 123);
+    b.add_edge(121, 123);
+    out.push_back(std::move(b).build());
+  }
+  out.push_back(link_components(chung_lu(300, 2.5, 4.0, rng)));
+  out.push_back(gnp(290, 1.5 / 290, rng));  // many components
+  out.push_back(barabasi_albert(300, 2, rng));
+  return out;
+}
+
+TEST(PowerView, EdgeCountCrossesBatchBoundaries) {
+  const auto instances = batch_boundary_instances();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Graph& g = instances[i];
+    for (int r = 1; r <= 5; ++r) {
+      PowerView view(g, r);
+      std::size_t degree_sum = 0;
+      for (VertexId v = 0; v < g.num_vertices(); ++v)
+        degree_sum += view.degree(v);
+      const std::size_t edges = view.num_edges();
+      EXPECT_EQ(edges, power(g, r).num_edges())
+          << "instance " << i << " (n=" << g.num_vertices() << "), r=" << r;
+      EXPECT_EQ(2 * edges, degree_sum)
+          << "instance " << i << " (n=" << g.num_vertices() << "), r=" << r;
+    }
+  }
+}
+
+TEST(PowerView, EdgeCountUnwindsUnderExpiredCancelToken) {
+  Rng rng(239);
+  const Graph g = link_components(chung_lu(200, 2.5, 4.0, rng));
+  PowerView view(g, 3);
+  {
+    const std::atomic<bool> expired{true};
+    const cancel::Scope scope(&expired);
+    EXPECT_THROW(view.num_edges(), cancel::Cancelled);
+  }
+  // An interrupted count caches nothing: the next call counts afresh.
+  EXPECT_EQ(view.num_edges(), power(g, 3).num_edges());
 }
 
 TEST(PowerView, AdjacentMatchesMaterialized) {

@@ -166,6 +166,27 @@ TEST(ImplicitWeightedBaselines, MatchMaterializedSolversVertexForVertex) {
         }
 }
 
+/// The materialized reference for local_ratio_mwvc_power_on: the local
+/// ratio on the subgraph of G^r induced by the actives (ascending), mapped
+/// back to original ids.
+std::vector<VertexId> induced_local_ratio(const Graph& g, int r,
+                                          const VertexWeights& w,
+                                          const std::vector<bool>& active) {
+  std::vector<VertexId> subset;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (active[static_cast<std::size_t>(v)]) subset.push_back(v);
+  const auto induced = graph::induced_power_subgraph(g, r, subset);
+  VertexWeights iw(induced.graph.num_vertices());
+  for (VertexId local = 0; local < induced.graph.num_vertices(); ++local)
+    iw.set(local, w[induced.to_original[static_cast<std::size_t>(local)]]);
+  std::vector<VertexId> expected;
+  for (VertexId local :
+       solvers::local_ratio_mwvc(induced.graph, iw).to_vector())
+    expected.push_back(induced.to_original[static_cast<std::size_t>(local)]);
+  std::sort(expected.begin(), expected.end());
+  return expected;
+}
+
 TEST(ImplicitWeightedBaselines, RestrictedLocalRatioMatchesInducedMaterialized) {
   // The subset-restricted variant solve_gr_mwvc scores huge remainders
   // with must equal the materialized local ratio on the remainder-induced
@@ -176,28 +197,54 @@ TEST(ImplicitWeightedBaselines, RestrictedLocalRatioMatchesInducedMaterialized) 
         const Graph g = build_scenario(scenario, n, 3);
         const VertexWeights w = weighting_or_throw("uniform").build(g, 3);
         std::vector<bool> active(static_cast<std::size_t>(n), false);
-        std::vector<VertexId> subset;
         for (VertexId v = 0; v < n; ++v)
-          if (v % 3 != 0) {
-            active[static_cast<std::size_t>(v)] = true;
-            subset.push_back(v);
-          }
-        const auto induced = graph::induced_power_subgraph(g, r, subset);
-        VertexWeights iw(induced.graph.num_vertices());
-        for (VertexId local = 0; local < induced.graph.num_vertices();
-             ++local)
-          iw.set(local,
-                 w[induced.to_original[static_cast<std::size_t>(local)]]);
-        std::vector<VertexId> expected;
-        for (VertexId local :
-             solvers::local_ratio_mwvc(induced.graph, iw).to_vector())
-          expected.push_back(
-              induced.to_original[static_cast<std::size_t>(local)]);
-        std::sort(expected.begin(), expected.end());
+          active[static_cast<std::size_t>(v)] = v % 3 != 0;
         EXPECT_EQ(
             solvers::local_ratio_mwvc_power_on(g, r, w, active).to_vector(),
-            expected)
+            induced_local_ratio(g, r, w, active))
             << scenario << " r=" << r;
+      }
+}
+
+TEST(ImplicitWeightedBaselines, LocalRatioTwinsHoldAtLargerN) {
+  // Larger rows than the instances above, so each ball holds many
+  // entries the implicit row filter drops.  Hand-built weights carry
+  // zeros and heavy ties; the restricted variant (positive weights only)
+  // runs on masks that leave out the ten highest-degree vertices.
+  for (const char* scenario : {"ba", "chung-lu", "gnp-sparse"})
+    for (VertexId n : {100, 150})
+      for (int r : {2, 3, 4}) {
+        const Graph g = build_scenario(scenario, n, 5);
+        const Graph gr = graph::power(g, r);
+        const std::string label =
+            std::string(scenario) + "/n" + std::to_string(n) + "/r" +
+            std::to_string(r);
+
+        VertexWeights zeros_and_ties(n);
+        for (VertexId v = 0; v < n; ++v)
+          zeros_and_ties.set(v, v % 7 == 0 ? 0 : 1 + (5 * v) % 3);
+        EXPECT_EQ(
+            solvers::local_ratio_mwvc_power(g, r, zeros_and_ties).to_vector(),
+            solvers::local_ratio_mwvc(gr, zeros_and_ties).to_vector())
+            << label;
+
+        std::vector<VertexId> by_degree(static_cast<std::size_t>(n));
+        for (VertexId v = 0; v < n; ++v)
+          by_degree[static_cast<std::size_t>(v)] = v;
+        std::stable_sort(by_degree.begin(), by_degree.end(),
+                         [&](VertexId a, VertexId b) {
+                           return g.degree(a) > g.degree(b);
+                         });
+        std::vector<bool> no_hubs(static_cast<std::size_t>(n), true);
+        for (std::size_t i = 0; i < 10; ++i)
+          no_hubs[static_cast<std::size_t>(by_degree[i])] = false;
+        VertexWeights ties(n);
+        for (VertexId v = 0; v < n; ++v) ties.set(v, 1 + v % 3);
+        EXPECT_EQ(
+            solvers::local_ratio_mwvc_power_on(g, r, ties, no_hubs)
+                .to_vector(),
+            induced_local_ratio(g, r, ties, no_hubs))
+            << label;
       }
 }
 
