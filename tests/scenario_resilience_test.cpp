@@ -175,6 +175,34 @@ TEST(JournalRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.wall_ms, row.wall_ms);
 }
 
+TEST(JournalRecord, GoldenLineForEveryField) {
+  // Every field non-default, so a reorder of the pgj2 fields — even one
+  // applied consistently to the encoder and the decoder — changes these
+  // bytes.  Journals written by older binaries must keep resuming.
+  CellResult row = sample_row();
+  row.spec.r = 3;
+  row.spec.epsilon_used = false;
+  row.spec.seed = 18446744073709551615ull;
+  row.exact = true;
+  row.msgs_dropped = 3;
+  row.msgs_corrupted = 4;
+  row.nodes_crashed = 5;
+  row.rounds_survived = 16;
+  row.regime = "powerlaw";
+  row.regime_alpha = 2.1;
+  const std::string expected =
+      "C\t42\tgeo-torus\tmvc\t20\t3\t0.25\t0\t18446744073709551615\t"
+      "degree-proportional\t1\t1\t"
+      "tabs\\tand\\nnewlines\\\\and backslashes\\rsurvive\t"
+      "40\t2\t120\t200\t11\t93\t1\t1\t17\t450\t9001\t"
+      "1\t9\t1.2222222222222223\t2\t80\t1.1625\t"
+      "3\t4\t5\t16\t1.875\tpowerlaw\t2.1\t#fc0af86a65f106e0";
+  EXPECT_EQ(encode_cell_record(row), expected);
+  CellResult back;
+  ASSERT_TRUE(decode_cell_record(expected, back));
+  EXPECT_EQ(encode_cell_record(back), expected);
+}
+
 TEST(JournalRecord, RejectsCorruption) {
   const std::string line = encode_cell_record(sample_row());
   CellResult row;

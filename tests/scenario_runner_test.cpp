@@ -177,6 +177,233 @@ TEST(SweepDeterminism, GoldenCsvForCentralizedCells) {
   EXPECT_EQ(csv_string(run_sweep(spec)), expected);
 }
 
+// Hand-built rows covering every opt-in column shape: certified yes (ok),
+// no (unverified) and "-" (failed, timeout), an empty regime, unused
+// epsilon/weighting, absent baselines, and error text that needs CSV
+// sanitizing and JSON escaping.  wall_ms is fixed so --timing is pinned.
+std::vector<CellResult> golden_rows() {
+  std::vector<CellResult> rows(4);
+  CellResult& ok = rows[0];
+  ok.cell_index = 0;
+  ok.spec = {"ba", "mwvc", 24, 2, 0.25, true, 3, "zipf", true};
+  ok.base_edges = 44;
+  ok.comm_power = 1;
+  ok.comm_edges = 44;
+  ok.target_edges = 150;
+  ok.solution_size = 13;
+  ok.solution_weight = 57;
+  ok.feasible = true;
+  ok.rounds = 31;
+  ok.messages = 1234;
+  ok.total_bits = 56789;
+  ok.baseline = BaselineKind::kExact;
+  ok.baseline_size = 12;
+  ok.ratio = 13.0 / 12.0;
+  ok.weight_baseline = BaselineKind::kExact;
+  ok.baseline_weight = 50;
+  ok.ratio_weight = 57.0 / 50.0;
+  ok.msgs_dropped = 5;
+  ok.msgs_corrupted = 2;
+  ok.nodes_crashed = 1;
+  ok.rounds_survived = 29;
+  ok.wall_ms = 12.25;
+  ok.regime = "powerlaw";
+  ok.regime_alpha = 2.4567;
+
+  CellResult& unverified = rows[1];
+  unverified.cell_index = 1;
+  unverified.spec = {"ba", "gr-mvc", 24, 2, 0.5, true, 3, "unit", false};
+  unverified.status = CellStatus::kUnverified;
+  unverified.error = "certify: ratio 1.5 exceeds, bound";
+  unverified.base_edges = 44;
+  unverified.target_edges = 150;
+  unverified.solution_size = 18;
+  unverified.solution_weight = 18;
+  unverified.feasible = true;
+  unverified.exact = true;
+  unverified.baseline = BaselineKind::kGreedy;
+  unverified.baseline_size = 12;
+  unverified.ratio = 1.5;
+  unverified.wall_ms = 3.5;
+  unverified.regime = "bounded";
+
+  CellResult& failed = rows[2];
+  failed.cell_index = 2;
+  failed.spec = {"geo-torus", "matching", 30, 1, 0.25, false, 4, "unit",
+                 false};
+  failed.status = CellStatus::kFailed;
+  failed.error = "boom, \"quoted\"\nnext\tline\\";
+
+  CellResult& timeout = rows[3];
+  timeout.cell_index = 3;
+  timeout.spec = {"geo-torus", "mwvc", 30, 2, 0.125, true, 4,
+                  "degree-proportional", true};
+  timeout.status = CellStatus::kTimeout;
+  timeout.error = "cell budget 50 ms expired";
+  timeout.base_edges = 60;
+  timeout.rounds = 7;
+  timeout.wall_ms = 50.0625;
+  timeout.regime = "other";
+  timeout.regime_alpha = 1.0;
+  return rows;
+}
+
+/// Shard 1/2 of a 6-cell grid, so the stamp, the JSON spec's opt-in
+/// flags and the allow-partial placeholders (cells 4 and 5) are pinned.
+SweepSpec golden_shard_spec() {
+  SweepSpec spec;
+  spec.scenarios = {"ba", "geo-torus"};
+  spec.algorithms = {"mwvc", "gr-mvc", "matching"};
+  spec.sizes = {24};
+  spec.powers = {2};
+  spec.epsilons = {0.25};
+  spec.seeds = {3};
+  spec.shard_index = 1;
+  spec.shard_count = 2;
+  return spec;
+}
+
+TEST(ReportGolden, CsvWithEveryOptInGroup) {
+  std::ostringstream out;
+  CsvWriter writer(out, /*include_timing=*/true, /*certify=*/true,
+                   /*faults=*/true, /*classify=*/true);
+  writer.begin(golden_shard_spec(), 6);
+  for (const CellResult& row : golden_rows()) writer.row(row);
+  const std::string stamp = "# shard 1/2 cells 6 spec 87ca255e7995879d\n";
+  const std::string body =
+      "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
+      "base_edges,comm_power,comm_edges,target_edges,solution_size,"
+      "solution_weight,feasible,exact,rounds,messages,total_bits,"
+      "baseline,baseline_size,ratio,weight_baseline,baseline_weight,"
+      "ratio_weight,regime,regime_alpha,certified,msgs_dropped,"
+      "msgs_corrupted,nodes_crashed,rounds_survived,wall_ms,error\n"
+      "0,ba,mwvc,24,2,0.25,zipf,3,ok,44,1,44,150,13,57,1,0,31,1234,56789,"
+      "exact,12,1.0833,exact,50,1.1400,powerlaw,2.457,yes,5,2,1,29,"
+      "12.250,\n"
+      "1,ba,gr-mvc,24,2,0.5,-,3,unverified,44,1,0,150,18,18,1,1,0,0,0,"
+      "greedy,12,1.5000,none,0,-,bounded,0.000,no,0,0,0,0,3.500,certify: "
+      "ratio 1.5 exceeds; bound\n"
+      "2,geo-torus,matching,30,1,-,-,4,failed,0,1,0,0,0,0,0,0,0,0,0,none,"
+      "0,-,none,0,-,-,-,-,0,0,0,0,0.000,boom; \"quoted\";next\tline\\\n"
+      "3,geo-torus,mwvc,30,2,0.125,degree-proportional,4,timeout,60,1,0,"
+      "0,0,0,0,0,7,0,0,none,0,-,none,0,-,other,1.000,-,0,0,0,0,50.062,"
+      "cell budget 50 ms expired\n";
+  EXPECT_EQ(out.str(), stamp + body);
+  // The merger reads the opt-in groups off the header and renders the
+  // placeholders for the cells no shard covered in the same shape.
+  const std::string placeholders =
+      "4,-,-,0,0,-,-,0,missing,0,1,0,0,0,0,0,0,0,0,0,none,0,-,none,0,-,-,"
+      "-,-,0,0,0,0,0.000,no shard report covered this cell\n"
+      "5,-,-,0,0,-,-,0,missing,0,1,0,0,0,0,0,0,0,0,0,none,0,-,none,0,-,-,"
+      "-,-,0,0,0,0,0.000,no shard report covered this cell\n";
+  EXPECT_EQ(merge_csv({out.str()}, /*allow_partial=*/true),
+            body + placeholders);
+}
+
+TEST(ReportGolden, JsonWithEveryOptInGroup) {
+  std::ostringstream out;
+  JsonWriter writer(out, /*include_timing=*/true, /*certify=*/true,
+                    /*faults=*/true, /*classify=*/true);
+  writer.begin(golden_shard_spec(), 6);
+  for (const CellResult& row : golden_rows()) writer.row(row);
+  writer.end(/*peak_rss_mb=*/12.5);
+  const std::string dims =
+      "\"scenarios\": [\"ba\",\"geo-torus\"], \"algorithms\": [\"mwvc\","
+      "\"gr-mvc\",\"matching\"], \"sizes\": [24], \"powers\": [2], "
+      "\"epsilons\": [0.25], \"weightings\": [\"unit\"], \"seeds\": [3], "
+      "\"exact_baseline_max_n\": 26";
+  const std::string stamp =
+      ", \"shard_index\": 1, \"shard_count\": 2, \"total_cells\": 6, "
+      "\"timing\": true, \"certify\": true, \"faults\": true, "
+      "\"classify\": true, \"spec_fingerprint\": \"87ca255e7995879d\"";
+  const std::string rows =
+      "    {\"cell_index\": 0, \"scenario\": \"ba\", \"algorithm\": "
+      "\"mwvc\", \"n\": 24, \"r\": 2, \"epsilon\": 0.25, \"weighting\": "
+      "\"zipf\", \"seed\": 3, \"status\": \"ok\", \"base_edges\": 44, "
+      "\"comm_power\": 1, \"comm_edges\": 44, \"target_edges\": 150, "
+      "\"solution_size\": 13, \"solution_weight\": 57, \"feasible\": "
+      "true, \"exact\": false, \"rounds\": 31, \"messages\": 1234, "
+      "\"total_bits\": 56789, \"baseline\": \"exact\", "
+      "\"baseline_size\": 12, \"ratio\": 1.0833, \"weight_baseline\": "
+      "\"exact\", \"baseline_weight\": 50, \"ratio_weight\": 1.1400, "
+      "\"regime\": \"powerlaw\", \"regime_alpha\": 2.457, \"certified\": "
+      "true, \"msgs_dropped\": 5, \"msgs_corrupted\": 2, "
+      "\"nodes_crashed\": 1, \"rounds_survived\": 29, \"wall_ms\": "
+      "12.250},\n"
+      "    {\"cell_index\": 1, \"scenario\": \"ba\", \"algorithm\": "
+      "\"gr-mvc\", \"n\": 24, \"r\": 2, \"epsilon\": 0.5, \"weighting\": "
+      "null, \"seed\": 3, \"status\": \"unverified\", \"base_edges\": 44,"
+      " \"comm_power\": 1, \"comm_edges\": 0, \"target_edges\": 150, "
+      "\"solution_size\": 18, \"solution_weight\": 18, \"feasible\": "
+      "true, \"exact\": true, \"rounds\": 0, \"messages\": 0, "
+      "\"total_bits\": 0, \"baseline\": \"greedy\", \"baseline_size\": "
+      "12, \"ratio\": 1.5000, \"weight_baseline\": \"none\", "
+      "\"baseline_weight\": 0, \"ratio_weight\": null, \"regime\": "
+      "\"bounded\", \"regime_alpha\": 0.000, \"certified\": false, "
+      "\"msgs_dropped\": 0, \"msgs_corrupted\": 0, \"nodes_crashed\": 0, "
+      "\"rounds_survived\": 0, \"wall_ms\": 3.500, \"error\": \"certify: "
+      "ratio 1.5 exceeds, bound\"},\n"
+      "    {\"cell_index\": 2, \"scenario\": \"geo-torus\", "
+      "\"algorithm\": \"matching\", \"n\": 30, \"r\": 1, \"epsilon\": "
+      "null, \"weighting\": null, \"seed\": 4, \"status\": \"failed\", "
+      "\"base_edges\": 0, \"comm_power\": 1, \"comm_edges\": 0, "
+      "\"target_edges\": 0, \"solution_size\": 0, \"solution_weight\": 0,"
+      " \"feasible\": false, \"exact\": false, \"rounds\": 0, "
+      "\"messages\": 0, \"total_bits\": 0, \"baseline\": \"none\", "
+      "\"baseline_size\": 0, \"ratio\": null, \"weight_baseline\": "
+      "\"none\", \"baseline_weight\": 0, \"ratio_weight\": null, "
+      "\"regime\": null, \"regime_alpha\": null, \"certified\": null, "
+      "\"msgs_dropped\": 0, \"msgs_corrupted\": 0, \"nodes_crashed\": 0, "
+      "\"rounds_survived\": 0, \"wall_ms\": 0.000, \"error\": \"boom, "
+      "\\\"quoted\\\"\\nnext\\tline\\\\\"},\n"
+      "    {\"cell_index\": 3, \"scenario\": \"geo-torus\", "
+      "\"algorithm\": \"mwvc\", \"n\": 30, \"r\": 2, \"epsilon\": 0.125, "
+      "\"weighting\": \"degree-proportional\", \"seed\": 4, \"status\": "
+      "\"timeout\", \"base_edges\": 60, \"comm_power\": 1, "
+      "\"comm_edges\": 0, \"target_edges\": 0, \"solution_size\": 0, "
+      "\"solution_weight\": 0, \"feasible\": false, \"exact\": false, "
+      "\"rounds\": 7, \"messages\": 0, \"total_bits\": 0, \"baseline\": "
+      "\"none\", \"baseline_size\": 0, \"ratio\": null, "
+      "\"weight_baseline\": \"none\", \"baseline_weight\": 0, "
+      "\"ratio_weight\": null, \"regime\": \"other\", \"regime_alpha\": "
+      "1.000, \"certified\": null, \"msgs_dropped\": 0, "
+      "\"msgs_corrupted\": 0, \"nodes_crashed\": 0, \"rounds_survived\": "
+      "0, \"wall_ms\": 50.062, \"error\": \"cell budget 50 ms expired\"}";
+  EXPECT_EQ(out.str(), "{\n  \"spec\": {" + dims + stamp +
+                           "},\n  \"cells\": [\n" + rows +
+                           "\n  ],\n  \"meta\": {\"peak_rss_mb\": 12.5}\n}\n");
+  const std::string placeholders =
+      "    {\"cell_index\": 4, \"scenario\": \"-\", \"algorithm\": \"-\","
+      " \"n\": 0, \"r\": 0, \"epsilon\": null, \"weighting\": null, "
+      "\"seed\": 0, \"status\": \"missing\", \"base_edges\": 0, "
+      "\"comm_power\": 1, \"comm_edges\": 0, \"target_edges\": 0, "
+      "\"solution_size\": 0, \"solution_weight\": 0, \"feasible\": false,"
+      " \"exact\": false, \"rounds\": 0, \"messages\": 0, "
+      "\"total_bits\": 0, \"baseline\": \"none\", \"baseline_size\": 0, "
+      "\"ratio\": null, \"weight_baseline\": \"none\", "
+      "\"baseline_weight\": 0, \"ratio_weight\": null, \"regime\": null, "
+      "\"regime_alpha\": null, \"certified\": null, \"msgs_dropped\": 0, "
+      "\"msgs_corrupted\": 0, \"nodes_crashed\": 0, \"rounds_survived\": "
+      "0, \"wall_ms\": 0.000, \"error\": \"no shard report covered this "
+      "cell\"},\n"
+      "    {\"cell_index\": 5, \"scenario\": \"-\", \"algorithm\": \"-\","
+      " \"n\": 0, \"r\": 0, \"epsilon\": null, \"weighting\": null, "
+      "\"seed\": 0, \"status\": \"missing\", \"base_edges\": 0, "
+      "\"comm_power\": 1, \"comm_edges\": 0, \"target_edges\": 0, "
+      "\"solution_size\": 0, \"solution_weight\": 0, \"feasible\": false,"
+      " \"exact\": false, \"rounds\": 0, \"messages\": 0, "
+      "\"total_bits\": 0, \"baseline\": \"none\", \"baseline_size\": 0, "
+      "\"ratio\": null, \"weight_baseline\": \"none\", "
+      "\"baseline_weight\": 0, \"ratio_weight\": null, \"regime\": null, "
+      "\"regime_alpha\": null, \"certified\": null, \"msgs_dropped\": 0, "
+      "\"msgs_corrupted\": 0, \"nodes_crashed\": 0, \"rounds_survived\": "
+      "0, \"wall_ms\": 0.000, \"error\": \"no shard report covered this "
+      "cell\"}";
+  EXPECT_EQ(merge_json({out.str()}, /*allow_partial=*/true),
+            "{\n  \"spec\": {" + dims + "},\n  \"cells\": [\n" + rows +
+                ",\n" + placeholders + "\n  ]\n}\n");
+}
+
 // A numpunct that mimics comma-decimal locales (de_DE and friends)
 // without depending on any locale being installed on the host: ',' as
 // the decimal point, '.' as a thousands separator applied every 3 digits.
