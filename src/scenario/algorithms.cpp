@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -43,13 +44,23 @@ RunOutcome from_congest(VertexSet solution, const congest::RoundStats& stats,
   return out;
 }
 
+// Published approximation-ratio bounds (Algorithm::ratio_bound).  The
+// (1+eps) algorithms round eps down to 1/ceil(1/eps), so that is the
+// constant they meet.
+double one_plus_eps(double epsilon) {
+  return 1.0 + 1.0 / std::ceil(1.0 / std::max(epsilon, 1e-9));
+}
+double five_thirds(double) { return 5.0 / 3.0; }
+double two(double) { return 2.0; }
+double optimal(double) { return 1.0; }
+
 std::vector<Algorithm> make_registry() {
   std::vector<Algorithm> a;
 
   a.push_back(
       {"mvc", "Theorem 1: deterministic CONGEST (1+eps)-approx MVC on comm^2",
        Problem::kVertexCover, 2, /*eps*/ true, /*rand*/ false, /*net*/ true,
-       /*weights*/ false,
+       /*weights*/ false, /*bound*/ one_plus_eps,
        [](const AlgorithmContext& ctx) {
          core::MvcCongestConfig config;
          config.epsilon = ctx.epsilon;
@@ -58,7 +69,7 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"mvc-rand", "Section 3.3 voting Phase I in plain CONGEST (randomized)",
-       Problem::kVertexCover, 2, true, true, true, false,
+       Problem::kVertexCover, 2, true, true, true, false, one_plus_eps,
        [](const AlgorithmContext& ctx) {
          core::MvcCongestConfig config;
          config.epsilon = ctx.epsilon;
@@ -69,7 +80,7 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"mvc53", "Corollary 17: 5/3-approx via the centralized 5/3 leader",
-       Problem::kVertexCover, 2, false, false, true, false,
+       Problem::kVertexCover, 2, false, false, true, false, five_thirds,
        [](const AlgorithmContext& ctx) {
          core::MvcCongestConfig config;
          config.epsilon = 0.5;
@@ -81,6 +92,7 @@ std::vector<Algorithm> make_registry() {
       {"mwvc", "Theorem 7: deterministic CONGEST (1+eps)-approx weighted MVC "
                "on comm^2",
        Problem::kVertexCover, 2, true, false, true, /*weights*/ true,
+       one_plus_eps,
        [](const AlgorithmContext& ctx) {
          core::MwvcCongestConfig config;
          config.epsilon = ctx.epsilon;
@@ -101,6 +113,7 @@ std::vector<Algorithm> make_registry() {
       {"gr-mwvc", "Theorem 7 at scale: centralized (2+eps) weighted MVC on "
                   "G^r (any r >= 2)",
        Problem::kVertexCover, 0, true, false, false, /*weights*/ true,
+       one_plus_eps,
        [](const AlgorithmContext& ctx) {
          const graph::VertexWeights unit(ctx.base.num_vertices(), 1);
          const graph::VertexWeights& w =
@@ -114,6 +127,7 @@ std::vector<Algorithm> make_registry() {
   a.push_back(
       {"mds", "Theorem 28: randomized O(log Delta)-approx MDS on comm^2",
        Problem::kDominatingSet, 2, false, true, true, false,
+       /*bound: O(log Delta), no sharp constant*/ nullptr,
        [](const AlgorithmContext& ctx) {
          Rng rng(mix_seed(ctx.seed, "mds"));
          const auto result = core::solve_g2_mds_congest(*ctx.net, rng);
@@ -121,7 +135,7 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"clique-mvc", "Theorem 11: randomized CONGESTED-CLIQUE (1+eps) MVC",
-       Problem::kVertexCover, 2, true, true, false, false,
+       Problem::kVertexCover, 2, true, true, false, false, one_plus_eps,
        [](const AlgorithmContext& ctx) {
          core::MvcCliqueConfig config;
          config.epsilon = ctx.epsilon;
@@ -137,14 +151,14 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"matching", "maximal matching in CONGEST: 2-approx MVC on comm itself",
-       Problem::kVertexCover, 1, false, false, true, false,
+       Problem::kVertexCover, 1, false, false, true, false, two,
        [](const AlgorithmContext& ctx) {
          const auto result = core::solve_maximal_matching_congest(*ctx.net);
          return from_congest(result.cover, result.stats);
        }});
   a.push_back(
       {"naive-mvc", "full-gather baseline: exact MVC of comm^2 at a leader",
-       Problem::kVertexCover, 2, false, false, true, false,
+       Problem::kVertexCover, 2, false, false, true, false, optimal,
        [](const AlgorithmContext& ctx) {
          const auto result = core::solve_naively_in_congest(
              *ctx.net, core::NaiveProblem::kMvcOnSquare);
@@ -152,7 +166,7 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"naive-mds", "full-gather baseline: exact MDS of comm^2 at a leader",
-       Problem::kDominatingSet, 2, false, false, true, false,
+       Problem::kDominatingSet, 2, false, false, true, false, optimal,
        [](const AlgorithmContext& ctx) {
          const auto result = core::solve_naively_in_congest(
              *ctx.net, core::NaiveProblem::kMdsOnSquare);
@@ -160,7 +174,7 @@ std::vector<Algorithm> make_registry() {
        }});
   a.push_back(
       {"gr-mvc", "centralized (1+eps)-approx MVC on G^r (any r >= 2)",
-       Problem::kVertexCover, 0, true, false, false, false,
+       Problem::kVertexCover, 0, true, false, false, false, one_plus_eps,
        [](const AlgorithmContext& ctx) {
          const auto result =
              core::solve_gr_mvc(ctx.base, ctx.r, ctx.epsilon);
@@ -179,7 +193,8 @@ std::vector<Algorithm> make_registry() {
                    std::function<RunOutcome(const AlgorithmContext&)> run) {
     Algorithm alg{std::move(name), std::move(desc), Problem::kVertexCover,
                   /*native_power=*/0, /*eps*/ false, /*rand*/ false,
-                  /*net*/ false, /*weights*/ false, std::move(run)};
+                  /*net*/ false, /*weights*/ false, /*bound*/ nullptr,
+                  std::move(run)};
     alg.hidden = true;
     return alg;
   };
@@ -266,18 +281,7 @@ int comm_power(const Algorithm& alg, int r) {
 }
 
 double published_ratio_bound(const Algorithm& alg, double epsilon) {
-  // Mirror of the conformance suite's pinned table — the certifier must
-  // hold sweeps to the same constants the tests enforce.
-  const double one_plus_eps =
-      1.0 + 1.0 / std::ceil(1.0 / std::max(epsilon, 1e-9));
-  if (alg.name == "mvc" || alg.name == "mvc-rand" || alg.name == "gr-mvc" ||
-      alg.name == "clique-mvc")
-    return one_plus_eps;
-  if (alg.name == "mvc53") return 5.0 / 3.0;
-  if (alg.name == "mwvc" || alg.name == "gr-mwvc") return one_plus_eps;
-  if (alg.name == "matching") return 2.0;
-  if (alg.name == "naive-mvc" || alg.name == "naive-mds") return 1.0;
-  return 0.0;  // mds & everything else: feasibility-only
+  return alg.ratio_bound != nullptr ? alg.ratio_bound(epsilon) : 0.0;
 }
 
 }  // namespace pg::scenario

@@ -64,6 +64,10 @@ struct Algorithm {
   bool randomized = false;
   bool needs_network = false;   // wants ctx.net over ctx.comm
   bool uses_weights = false;    // consumes ctx.weights (weighted problems)
+  // The sharpest published approximation ratio at an epsilon (under unit
+  // weights); nullptr when none is published (feasibility-only).  Read
+  // through published_ratio_bound.
+  double (*ratio_bound)(double epsilon) = nullptr;
   std::function<RunOutcome(const AlgorithmContext&)> run;
   // Excluded from algorithm_names() (and therefore from sweep defaults,
   // the CLI listing, and conformance grids) but still resolvable by
@@ -92,12 +96,12 @@ bool supports_power(const Algorithm& alg, int r);
 /// centralized algorithms (which receive G itself).  Requires support.
 int comm_power(const Algorithm& alg, int r);
 
-/// The sharpest published approximation-ratio bound for the algorithm at
-/// this epsilon, used by the sweep's --certify pass (unit weights only; the
-/// weighted variants publish the same bound but the certifier restricts
-/// itself to weightings with a pinned conformance table).  0 means
-/// "feasibility-only": no sharp constant is published (mds's bound is the
-/// asymptotic O(log Δ)).
+/// The algorithm's published approximation-ratio bound (its ratio_bound)
+/// at this epsilon, used by the sweep's --certify pass and the
+/// conformance suite (unit weights only; the weighted variants publish
+/// the same bound but the certifier restricts itself to weightings with
+/// a pinned conformance table).  0 means "feasibility-only": no sharp
+/// constant is published (mds's bound is the asymptotic O(log Δ)).
 double published_ratio_bound(const Algorithm& alg, double epsilon);
 
 }  // namespace pg::scenario

@@ -682,11 +682,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     throw UsageError(
         "the grid expands to zero cells: no requested algorithm can express "
         "any requested power r");
-  // File-backed sweeps are about real graphs, where the degree regime is
-  // the point — classify automatically so the column never has to be
-  // remembered; generator sweeps keep their historic bytes unless asked.
-  for (const std::string& s : spec.scenarios)
-    if (is_file_scenario(s)) classify = true;
+  const ReportColumns columns = report_columns(spec, exec, timing, classify);
 
   if (spawn_children > 0) {
     if (!spawn_supported())
@@ -696,8 +692,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     sopts.retries = exec.retries;
     sopts.allow_partial = allow_partial;
     sopts.progress = spawn_progress;
-    sopts.timing = timing;
-    sopts.classify = classify;
+    sopts.columns = columns;
     sopts.exec = exec;
     return run_spawned_sweep(spec, sopts, csv_path, json_path, out, err);
   }
@@ -728,23 +723,14 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     if (!file) throw UsageError("cannot open output file '" + path + "'");
     return file;
   };
-  // Network-fault accounting columns appear whenever a plan with net
-  // directives is active (flag or environment); the certified column
-  // whenever --certify is.  Defaults keep the historic byte-stable shape.
-  const FaultPlan* active_faults =
-      exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
-  const bool fault_columns =
-      active_faults != nullptr && active_faults->has_net_faults();
   std::optional<CsvWriter> csv;
   std::optional<JsonWriter> json;
-  if (csv_path)
-    csv.emplace(open_or_stdout(*csv_path, csv_file), timing, exec.certify,
-                fault_columns, classify);
+  if (csv_path) csv.emplace(open_or_stdout(*csv_path, csv_file), columns);
   if (json_path)
     json.emplace(shared_target
                      ? static_cast<std::ostream&>(json_buffer)
                      : open_or_stdout(*json_path, json_file),
-                 timing, exec.certify, fault_columns, classify);
+                 columns);
   if (csv) csv->begin(spec, total_cells);
   if (json) json->begin(spec, total_cells);
 
@@ -763,9 +749,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
         if (json) json->row(row);
       },
       exec);
-  // Peak RSS rides in the JSON meta only under --timing (it is as
-  // host-dependent as wall clock; default output stays byte-stable).
-  if (json) json->end(timing ? util::peak_rss_mb() : -1.0);
+  if (json) json->end(util::peak_rss_mb());
   if (shared_target) {
     if (*json_path == "-") {
       out << json_buffer.str();
@@ -794,10 +778,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     err << ", " << summary.unverified << " unverified";
   if (summary.replayed > 0) err << ", " << summary.replayed << " replayed";
   err << ", " << wall << " ms, " << spec.threads << " thread(s)\n";
-  return summary.failed == 0 && summary.timeout == 0 &&
-                 summary.infeasible == 0 && summary.unverified == 0
-             ? 0
-             : 1;
+  return summary.clean() ? 0 : 1;
 }
 
 /// `import INPUT OUTPUT`: SNAP-style edge-list text in, validated .pgcsr

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "scenario/report.hpp"
 #include "util/hash.hpp"
@@ -56,17 +58,11 @@ std::string unescape(std::string_view text) {
   return out;
 }
 
-template <typename Int>
-void append_int(std::string& out, Int value) {
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out.append(buffer, ec == std::errc{} ? ptr : buffer);
-}
-
-/// Shortest round-trip form: from_chars(to_chars(x)) == x exactly, so a
-/// replayed row formats identically in the reports.
-void append_double(std::string& out, double value) {
+/// to_chars: exact for integers and the shortest round-trip form for
+/// doubles (from_chars(to_chars(x)) == x), so a replayed row formats
+/// identically in the reports.
+template <typename Number>
+void append_number(std::string& out, Number value) {
   char buffer[64];
   const auto [ptr, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
@@ -115,37 +111,6 @@ class FieldReader {
 
   bool exhausted() const { return done_; }
 
-  template <typename Int>
-  bool next_int(Int& value) {
-    std::string_view field;
-    if (!next(field) || field.empty()) return false;
-    const auto [ptr, ec] =
-        std::from_chars(field.data(), field.data() + field.size(), value);
-    return ec == std::errc{} && ptr == field.data() + field.size();
-  }
-
-  bool next_double(double& value) {
-    std::string_view field;
-    if (!next(field) || field.empty()) return false;
-    const auto [ptr, ec] =
-        std::from_chars(field.data(), field.data() + field.size(), value);
-    return ec == std::errc{} && ptr == field.data() + field.size();
-  }
-
-  bool next_bool(bool& value) {
-    int v = 0;
-    if (!next_int(v) || (v != 0 && v != 1)) return false;
-    value = v == 1;
-    return true;
-  }
-
-  bool next_string(std::string& value) {
-    std::string_view field;
-    if (!next(field)) return false;
-    value = unescape(field);
-    return true;
-  }
-
  private:
   std::string_view rest_;
   bool done_ = false;
@@ -157,104 +122,103 @@ constexpr std::string_view kRecordTag = "C";
 // refuses it outright instead of mixing wire formats.
 constexpr std::string_view kHeaderTag = "pgj2";
 
-bool decode_status(int value, CellStatus& status) {
-  switch (value) {
-    case 0: status = CellStatus::kOk; return true;
-    case 1: status = CellStatus::kFailed; return true;
-    case 2: status = CellStatus::kTimeout; return true;
-    case 3: status = CellStatus::kMissing; return true;
-    case 4: status = CellStatus::kUnverified; return true;
-  }
-  return false;
+/// The record's fields after the tag, in pgj2 order.  Each entry names
+/// one CellResult member; its type picks the encoding (see put/take).
+/// Adding, removing or reordering an entry changes the wire format, so it
+/// must come with a new kHeaderTag.
+constexpr auto kFields = std::make_tuple(
+    [](auto& c) -> auto& { return c.cell_index; },
+    [](auto& c) -> auto& { return c.spec.scenario; },
+    [](auto& c) -> auto& { return c.spec.algorithm; },
+    [](auto& c) -> auto& { return c.spec.n; },
+    [](auto& c) -> auto& { return c.spec.r; },
+    [](auto& c) -> auto& { return c.spec.epsilon; },
+    [](auto& c) -> auto& { return c.spec.epsilon_used; },
+    [](auto& c) -> auto& { return c.spec.seed; },
+    [](auto& c) -> auto& { return c.spec.weighting; },
+    [](auto& c) -> auto& { return c.spec.weights_used; },
+    [](auto& c) -> auto& { return c.status; },
+    [](auto& c) -> auto& { return c.error; },
+    [](auto& c) -> auto& { return c.base_edges; },
+    [](auto& c) -> auto& { return c.comm_power; },
+    [](auto& c) -> auto& { return c.comm_edges; },
+    [](auto& c) -> auto& { return c.target_edges; },
+    [](auto& c) -> auto& { return c.solution_size; },
+    [](auto& c) -> auto& { return c.solution_weight; },
+    [](auto& c) -> auto& { return c.feasible; },
+    [](auto& c) -> auto& { return c.exact; },
+    [](auto& c) -> auto& { return c.rounds; },
+    [](auto& c) -> auto& { return c.messages; },
+    [](auto& c) -> auto& { return c.total_bits; },
+    [](auto& c) -> auto& { return c.baseline; },
+    [](auto& c) -> auto& { return c.baseline_size; },
+    [](auto& c) -> auto& { return c.ratio; },
+    [](auto& c) -> auto& { return c.weight_baseline; },
+    [](auto& c) -> auto& { return c.baseline_weight; },
+    [](auto& c) -> auto& { return c.ratio_weight; },
+    [](auto& c) -> auto& { return c.msgs_dropped; },
+    [](auto& c) -> auto& { return c.msgs_corrupted; },
+    [](auto& c) -> auto& { return c.nodes_crashed; },
+    [](auto& c) -> auto& { return c.rounds_survived; },
+    [](auto& c) -> auto& { return c.wall_ms; },
+    [](auto& c) -> auto& { return c.regime; },
+    [](auto& c) -> auto& { return c.regime_alpha; });
+
+/// The largest valid value of each flag or enum a record carries.
+constexpr int max_value(bool) { return 1; }
+constexpr int max_value(CellStatus) {
+  return static_cast<int>(CellStatus::kUnverified);
+}
+constexpr int max_value(BaselineKind) {
+  return static_cast<int>(BaselineKind::kGreedy);
 }
 
-bool decode_baseline(int value, BaselineKind& kind) {
-  switch (value) {
-    case 0: kind = BaselineKind::kNone; return true;
-    case 1: kind = BaselineKind::kExact; return true;
-    case 2: kind = BaselineKind::kGreedy; return true;
+/// One tab-prefixed field: strings are escaped, flags and enums are their
+/// integer value, numbers are to_chars output.
+template <typename T>
+void put(std::string& out, const T& value) {
+  out += '\t';
+  if constexpr (std::is_convertible_v<T, std::string_view>)
+    append_escaped(out, value);
+  else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>)
+    append_number(out, static_cast<int>(value));
+  else
+    append_number(out, value);
+}
+
+template <typename Number>
+bool parse(std::string_view field, Number& value) {
+  const auto [ptr, ec] =
+      std::from_chars(field.data(), field.data() + field.size(), value);
+  return ec == std::errc{} && ptr == field.data() + field.size();
+}
+
+/// The inverse of put: false on a missing field, a malformed number, or a
+/// flag or enum out of range.
+template <typename T>
+bool take(FieldReader& fields, T& value) {
+  std::string_view field;
+  if (!fields.next(field)) return false;
+  if constexpr (std::is_same_v<T, std::string>) {
+    value = unescape(field);
+    return true;
+  } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    int v = 0;
+    if (!parse(field, v) || v < 0 || v > max_value(value)) return false;
+    value = static_cast<T>(v);
+    return true;
+  } else {
+    return parse(field, value);
   }
-  return false;
 }
 
 }  // namespace
 
 std::string encode_cell_record(const CellResult& row) {
-  std::string p;
+  std::string p(kRecordTag);
   p.reserve(160);
-  p += kRecordTag;
-  p += '\t';
-  append_int(p, row.cell_index);
-  p += '\t';
-  append_escaped(p, row.spec.scenario);
-  p += '\t';
-  append_escaped(p, row.spec.algorithm);
-  p += '\t';
-  append_int(p, row.spec.n);
-  p += '\t';
-  append_int(p, row.spec.r);
-  p += '\t';
-  append_double(p, row.spec.epsilon);
-  p += '\t';
-  append_int(p, row.spec.epsilon_used ? 1 : 0);
-  p += '\t';
-  append_int(p, row.spec.seed);
-  p += '\t';
-  append_escaped(p, row.spec.weighting);
-  p += '\t';
-  append_int(p, row.spec.weights_used ? 1 : 0);
-  p += '\t';
-  append_int(p, static_cast<int>(row.status));
-  p += '\t';
-  append_escaped(p, row.error);
-  p += '\t';
-  append_int(p, row.base_edges);
-  p += '\t';
-  append_int(p, row.comm_power);
-  p += '\t';
-  append_int(p, row.comm_edges);
-  p += '\t';
-  append_int(p, row.target_edges);
-  p += '\t';
-  append_int(p, row.solution_size);
-  p += '\t';
-  append_int(p, row.solution_weight);
-  p += '\t';
-  append_int(p, row.feasible ? 1 : 0);
-  p += '\t';
-  append_int(p, row.exact ? 1 : 0);
-  p += '\t';
-  append_int(p, row.rounds);
-  p += '\t';
-  append_int(p, row.messages);
-  p += '\t';
-  append_int(p, row.total_bits);
-  p += '\t';
-  append_int(p, static_cast<int>(row.baseline));
-  p += '\t';
-  append_int(p, row.baseline_size);
-  p += '\t';
-  append_double(p, row.ratio);
-  p += '\t';
-  append_int(p, static_cast<int>(row.weight_baseline));
-  p += '\t';
-  append_int(p, row.baseline_weight);
-  p += '\t';
-  append_double(p, row.ratio_weight);
-  p += '\t';
-  append_int(p, row.msgs_dropped);
-  p += '\t';
-  append_int(p, row.msgs_corrupted);
-  p += '\t';
-  append_int(p, row.nodes_crashed);
-  p += '\t';
-  append_int(p, row.rounds_survived);
-  p += '\t';
-  append_double(p, row.wall_ms);
-  p += '\t';
-  append_escaped(p, row.regime);
-  p += '\t';
-  append_double(p, row.regime_alpha);
+  std::apply([&](const auto&... field) { (put(p, field(row)), ...); },
+             kFields);
   return with_checksum(std::move(p));
 }
 
@@ -264,66 +228,31 @@ bool decode_cell_record(std::string_view line, CellResult& row) {
   FieldReader fields(payload);
   std::string_view tag;
   if (!fields.next(tag) || tag != kRecordTag) return false;
-
   row = CellResult{};
-  int status = 0, baseline = 0, weight_baseline = 0;
-  const bool ok =
-      fields.next_int(row.cell_index) &&
-      fields.next_string(row.spec.scenario) &&
-      fields.next_string(row.spec.algorithm) &&
-      fields.next_int(row.spec.n) && fields.next_int(row.spec.r) &&
-      fields.next_double(row.spec.epsilon) &&
-      fields.next_bool(row.spec.epsilon_used) &&
-      fields.next_int(row.spec.seed) &&
-      fields.next_string(row.spec.weighting) &&
-      fields.next_bool(row.spec.weights_used) && fields.next_int(status) &&
-      fields.next_string(row.error) && fields.next_int(row.base_edges) &&
-      fields.next_int(row.comm_power) && fields.next_int(row.comm_edges) &&
-      fields.next_int(row.target_edges) &&
-      fields.next_int(row.solution_size) &&
-      fields.next_int(row.solution_weight) &&
-      fields.next_bool(row.feasible) && fields.next_bool(row.exact) &&
-      fields.next_int(row.rounds) && fields.next_int(row.messages) &&
-      fields.next_int(row.total_bits) && fields.next_int(baseline) &&
-      fields.next_int(row.baseline_size) && fields.next_double(row.ratio) &&
-      fields.next_int(weight_baseline) &&
-      fields.next_int(row.baseline_weight) &&
-      fields.next_double(row.ratio_weight) &&
-      fields.next_int(row.msgs_dropped) &&
-      fields.next_int(row.msgs_corrupted) &&
-      fields.next_int(row.nodes_crashed) &&
-      fields.next_int(row.rounds_survived) &&
-      fields.next_double(row.wall_ms) && fields.next_string(row.regime) &&
-      fields.next_double(row.regime_alpha) && fields.exhausted();
-  return ok && decode_status(status, row.status) &&
-         decode_baseline(baseline, row.baseline) &&
-         decode_baseline(weight_baseline, row.weight_baseline);
+  return std::apply(
+             [&](const auto&... field) {
+               return (take(fields, field(row)) && ...);
+             },
+             kFields) &&
+         fields.exhausted();
 }
 
 std::string journal_header(const SweepSpec& spec, std::size_t total_cells,
                            std::string_view mode) {
-  std::string p;
-  p += kHeaderTag;
-  p += '\t';
-  p += spec_fingerprint(spec);
-  p += '\t';
-  append_int(p, spec.shard_index);
-  p += '\t';
-  append_int(p, spec.shard_count);
-  p += '\t';
-  append_int(p, total_cells);
-  if (!mode.empty()) {
-    p += '\t';
-    append_escaped(p, mode);
-  }
+  std::string p(kHeaderTag);
+  put(p, spec_fingerprint(spec));
+  put(p, spec.shard_index);
+  put(p, spec.shard_count);
+  put(p, total_cells);
+  if (!mode.empty()) put(p, mode);
   return with_checksum(std::move(p));
 }
 
 std::string journal_path(const std::string& dir, const SweepSpec& spec) {
   std::string name = "journal-";
-  append_int(name, spec.shard_index);
+  append_number(name, spec.shard_index);
   name += "-of-";
-  append_int(name, spec.shard_count);
+  append_number(name, spec.shard_count);
   name += ".pgj";
   return (std::filesystem::path(dir) / name).string();
 }
@@ -335,8 +264,11 @@ JournalContents read_journal(const std::string& path, const SweepSpec& spec,
   if (!file) return contents;  // no journal yet: empty, not an error
   contents.file_exists = true;
 
+  // getline also returns a final line the file ends without its '\n';
+  // eof() tells that torn line apart from a complete one.
   std::string line;
-  if (!std::getline(file, line)) return contents;  // torn header: empty
+  if (!std::getline(file, line) || file.eof())
+    return contents;  // torn header: empty
   const std::string expected_header = journal_header(spec, total_cells, mode);
   PG_REQUIRE(line == expected_header,
              "journal '" + path +
@@ -345,10 +277,7 @@ JournalContents read_journal(const std::string& path, const SweepSpec& spec,
                  "mismatch) — refusing to resume");
   contents.valid_bytes = line.size() + 1;
 
-  while (std::getline(file, line)) {
-    // A record not followed by '\n' is a torn tail: ignore it (getline
-    // still returns it when the file ends without the newline, so check
-    // via the stream position arithmetic below).
+  while (std::getline(file, line) && !file.eof()) {
     CellResult row;
     if (!decode_cell_record(line, row)) break;
     const std::uint64_t end = contents.valid_bytes + line.size() + 1;

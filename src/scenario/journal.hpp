@@ -31,7 +31,9 @@
 namespace pg::scenario {
 
 /// One CellResult as a single '\n'-free line (strings escaped, checksum
-/// suffix).  The solution bitset is not serialized — journaled sweeps
+/// suffix).  Journals and pipes terminate every record with '\n'; a
+/// final record without it is torn, however intact its bytes look, and
+/// readers drop it.  The solution bitset is not serialized — journaled sweeps
 /// stream, and streamed rows have already dropped it.
 std::string encode_cell_record(const CellResult& row);
 

@@ -5,56 +5,47 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
+#include "scenario/fault.hpp"
+#include "scenario/scenario.hpp"
 #include "util/hash.hpp"
 
 namespace pg::scenario {
 
 namespace {
 
-/// std::to_chars-based double formatting: locale-independent by the
-/// standard's guarantee, so the emitted bytes never depend on the host
-/// environment (printf's %g would honor LC_NUMERIC's decimal point).
-std::string fmt_double(double value, std::chars_format format,
-                       int precision) {
+/// std::to_chars formatting: locale-independent by the standard's
+/// guarantee, so the emitted bytes never depend on the host environment
+/// (printf's %g would honor LC_NUMERIC's decimal point, and streaming an
+/// integer through operator<< honors the stream's imbued locale — under a
+/// grouping locale 100000 renders as "100.000", which corrupts the CSV
+/// column count and breaks the shard-merge byte-equality guarantee).
+/// Every number a report emits goes through here.
+template <typename T, typename... Format>
+void append_chars(std::string& out, T value, Format... format) {
   char buffer[64];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer),
-                                       value, format, precision);
-  return std::string(buffer, ec == std::errc{} ? ptr : buffer);
-}
-
-/// Matches printf's %g: 6 significant digits, trailing zeros trimmed.
-std::string fmt_general(double value) {
-  return fmt_double(value, std::chars_format::general, 6);
-}
-
-std::string fmt_fixed(double value, int precision) {
-  return fmt_double(value, std::chars_format::fixed, precision);
-}
-
-/// Locale-independent integer formatting.  Streaming an integer through
-/// operator<< honors the stream's imbued locale: under a grouping locale
-/// (de_DE and friends) 100000 renders as "100.000", which corrupts the
-/// CSV column count and breaks the shard-merge byte-equality guarantee.
-/// Every integer a report emits goes through here instead.
-template <typename Int>
-std::string fmt_int(Int value) {
-  char buffer[32];
   const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return std::string(buffer, ec == std::errc{} ? ptr : buffer);
+      std::to_chars(buffer, buffer + sizeof(buffer), value, format...);
+  out.append(buffer, ec == std::errc{} ? ptr : buffer);
 }
 
-std::string csv_sanitize(const std::string& text) {
-  std::string out = text;
-  for (char& c : out)
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
+template <typename T, typename... Format>
+std::string fmt(T value, Format... format) {
+  std::string out;
+  append_chars(out, value, format...);
   return out;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+/// `"name": ` — how JSON introduces a field.
+void append_json_key(std::string& out, std::string_view name) {
+  out += '"';
+  out += name;
+  out += "\": ";
+}
+
+void append_json_text(std::string& out, std::string_view text) {
+  out += '"';
   for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -73,48 +64,110 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
-  return out;
+  out += '"';
 }
 
-template <typename T, typename Fn>
-void write_json_list(std::ostream& out, const std::vector<T>& values, Fn fn) {
-  out << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out << ',';
-    fn(values[i]);
+/// One report cell, typed so that each format renders each kind one way:
+///   kind      CSV                JSON
+///   kNull     -                  null
+///   kInt      digits             digits
+///   kFixed    fixed precision    fixed precision
+///   kGeneral  %g style           %g style
+///   kFlag     1 / 0              true / false
+///   kVerdict  yes / no           true / false
+///   kText     ',' '\n' '\r'->';' quoted, escaped
+struct Value {
+  enum class Kind { kNull, kInt, kFixed, kGeneral, kFlag, kVerdict, kText };
+  Kind kind = Kind::kNull;
+  std::uint64_t word = 0;  // kInt: the bits (of an int64 if is_signed);
+                           // kFlag, kVerdict: 0 or 1
+  bool is_signed = false;
+  double number = 0.0;         // kFixed, kGeneral
+  int precision = 0;           // kFixed
+  std::string_view text = {};  // kText
+};
+
+using Kind = Value::Kind;
+
+constexpr Value null() { return {}; }
+template <typename Int>
+constexpr Value integer(Int v) {
+  return {Kind::kInt, static_cast<std::uint64_t>(v), std::is_signed_v<Int>};
+}
+constexpr Value fixed(double v, int p) { return {Kind::kFixed, 0, 0, v, p}; }
+constexpr Value general(double v) { return {Kind::kGeneral, 0, 0, v}; }
+constexpr Value flag(bool on) { return {Kind::kFlag, on}; }
+constexpr Value verdict(bool yes) { return {Kind::kVerdict, yes}; }
+constexpr Value text(std::string_view t) {
+  return {Kind::kText, 0, false, 0.0, 0, t};
+}
+
+void append_csv(std::string& out, const Value& v) {
+  switch (v.kind) {
+    case Kind::kNull: out += '-'; break;
+    case Kind::kInt:
+      if (v.is_signed)
+        append_chars(out, static_cast<std::int64_t>(v.word));
+      else
+        append_chars(out, v.word);
+      break;
+    case Kind::kFixed:
+      append_chars(out, v.number, std::chars_format::fixed, v.precision);
+      break;
+    case Kind::kGeneral:  // printf's %g: 6 significant digits, no trailing 0s
+      append_chars(out, v.number, std::chars_format::general, 6);
+      break;
+    case Kind::kFlag: out += v.word ? '1' : '0'; break;
+    case Kind::kVerdict: out += v.word ? "yes" : "no"; break;
+    case Kind::kText:
+      for (char c : v.text)
+        out += c == ',' || c == '\n' || c == '\r' ? ';' : c;
+      break;
   }
-  out << ']';
+}
+
+void append_json(std::string& out, const Value& v) {
+  switch (v.kind) {
+    case Kind::kNull: out += "null"; break;
+    case Kind::kFlag:
+    case Kind::kVerdict: out += v.word ? "true" : "false"; break;
+    case Kind::kText: append_json_text(out, v.text); break;
+    default: append_csv(out, v);  // numbers render alike in both formats
+  }
+}
+
+template <typename T, typename ToValue>
+void write_json_list(std::ostream& out, const std::vector<T>& values,
+                     ToValue to_value) {
+  std::string list = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i) list += ',';
+    append_json(list, to_value(values[i]));
+  }
+  out << list << ']';
 }
 
 /// The grid-dimension fields of "spec" — everything that determines the
 /// cell list, and therefore everything the fingerprint must cover.  Shard
 /// coordinates are appended separately by JsonWriter::begin.
 void write_spec_dims_json(std::ostream& out, const SweepSpec& spec) {
+  const auto number = [](auto v) { return integer(v); };
   out << "\"scenarios\": ";
-  write_json_list(out, spec.scenarios, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
+  write_json_list(out, spec.scenarios, text);
   out << ", \"algorithms\": ";
-  write_json_list(out, spec.algorithms, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
+  write_json_list(out, spec.algorithms, text);
   out << ", \"sizes\": ";
-  write_json_list(out, spec.sizes,
-                  [&](graph::VertexId n) { out << fmt_int(n); });
+  write_json_list(out, spec.sizes, number);
   out << ", \"powers\": ";
-  write_json_list(out, spec.powers, [&](int r) { out << fmt_int(r); });
+  write_json_list(out, spec.powers, number);
   out << ", \"epsilons\": ";
-  write_json_list(out, spec.epsilons,
-                  [&](double e) { out << fmt_general(e); });
+  write_json_list(out, spec.epsilons, general);
   out << ", \"weightings\": ";
-  write_json_list(out, spec.weightings, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
+  write_json_list(out, spec.weightings, text);
   out << ", \"seeds\": ";
-  write_json_list(out, spec.seeds,
-                  [&](std::uint64_t s) { out << fmt_int(s); });
+  write_json_list(out, spec.seeds, number);
   out << ", \"exact_baseline_max_n\": "
-      << fmt_int(spec.exact_baseline_max_n);
+      << fmt(spec.exact_baseline_max_n);
 }
 
 }  // namespace
@@ -128,77 +181,159 @@ std::string spec_fingerprint(const SweepSpec& spec) {
   return std::string(buffer);
 }
 
+// ---------------------------------------------------------- column table ---
+
+namespace {
+
+constexpr bool ReportColumns::*kCore = nullptr;
+
+struct Column {
+  std::string_view name;
+  bool ReportColumns::*group;  // kCore: always emitted
+  Value (*get)(const CellResult&);
+  bool json_only_on_failure = false;
+};
+
+/// Every report column, in emission order.  A new column is one entry
+/// here: the CSV header and rows, the JSON rows, the mergers' group
+/// detection and the allow-partial placeholders all follow this table.
+constexpr Column kColumns[] = {
+    {"cell_index", kCore, [](auto& c) { return integer(c.cell_index); }},
+    {"scenario", kCore, [](auto& c) { return text(c.spec.scenario); }},
+    {"algorithm", kCore, [](auto& c) { return text(c.spec.algorithm); }},
+    {"n", kCore, [](auto& c) { return integer(c.spec.n); }},
+    {"r", kCore, [](auto& c) { return integer(c.spec.r); }},
+    {"epsilon", kCore,
+     [](auto& c) {
+       return c.spec.epsilon_used ? general(c.spec.epsilon) : null();
+     }},
+    {"weighting", kCore,
+     [](auto& c) {
+       return c.spec.weights_used ? text(c.spec.weighting) : null();
+     }},
+    {"seed", kCore, [](auto& c) { return integer(c.spec.seed); }},
+    {"status", kCore, [](auto& c) { return text(cell_status_name(c.status)); }},
+    {"base_edges", kCore, [](auto& c) { return integer(c.base_edges); }},
+    {"comm_power", kCore, [](auto& c) { return integer(c.comm_power); }},
+    {"comm_edges", kCore, [](auto& c) { return integer(c.comm_edges); }},
+    {"target_edges", kCore, [](auto& c) { return integer(c.target_edges); }},
+    {"solution_size", kCore, [](auto& c) { return integer(c.solution_size); }},
+    {"solution_weight", kCore,
+     [](auto& c) { return integer(c.solution_weight); }},
+    {"feasible", kCore, [](auto& c) { return flag(c.feasible); }},
+    {"exact", kCore, [](auto& c) { return flag(c.exact); }},
+    {"rounds", kCore, [](auto& c) { return integer(c.rounds); }},
+    {"messages", kCore, [](auto& c) { return integer(c.messages); }},
+    {"total_bits", kCore, [](auto& c) { return integer(c.total_bits); }},
+    {"baseline", kCore,
+     [](auto& c) { return text(baseline_kind_name(c.baseline)); }},
+    {"baseline_size", kCore, [](auto& c) { return integer(c.baseline_size); }},
+    {"ratio", kCore,
+     [](auto& c) {
+       return c.baseline == BaselineKind::kNone ? null() : fixed(c.ratio, 4);
+     }},
+    // The weighted oracle gets its own kind/value columns: it succeeds or
+    // downgrades independently of the size oracle, and a ratio_weight
+    // without them would read as exact-relative when the weighted solve
+    // actually fell back to greedy.
+    {"weight_baseline", kCore,
+     [](auto& c) { return text(baseline_kind_name(c.weight_baseline)); }},
+    {"baseline_weight", kCore,
+     [](auto& c) { return integer(c.baseline_weight); }},
+    {"ratio_weight", kCore,
+     [](auto& c) {
+       return c.weight_baseline == BaselineKind::kNone
+                  ? null()
+                  : fixed(c.ratio_weight, 4);
+     }},
+    // Empty on rows that never built a topology (failed/missing before the
+    // group opened); the classification itself is a pure function of the
+    // topology, so the bytes stay deterministic.
+    {"regime", &ReportColumns::classify,
+     [](auto& c) { return c.regime.empty() ? null() : text(c.regime); }},
+    {"regime_alpha", &ReportColumns::classify,
+     [](auto& c) {
+       return c.regime.empty() ? null() : fixed(c.regime_alpha, 3);
+     }},
+    // Failed/timeout/missing rows never reached the independent re-check.
+    {"certified", &ReportColumns::certify,
+     [](auto& c) {
+       return c.status == CellStatus::kOk           ? verdict(true)
+              : c.status == CellStatus::kUnverified ? verdict(false)
+                                                    : null();
+     }},
+    {"msgs_dropped", &ReportColumns::faults,
+     [](auto& c) { return integer(c.msgs_dropped); }},
+    {"msgs_corrupted", &ReportColumns::faults,
+     [](auto& c) { return integer(c.msgs_corrupted); }},
+    {"nodes_crashed", &ReportColumns::faults,
+     [](auto& c) { return integer(c.nodes_crashed); }},
+    {"rounds_survived", &ReportColumns::faults,
+     [](auto& c) { return integer(c.rounds_survived); }},
+    {"wall_ms", &ReportColumns::timing,
+     [](auto& c) { return fixed(c.wall_ms, 3); }},
+    {"error", kCore, [](auto& c) { return text(c.error); },
+     /*json_only_on_failure=*/true},
+};
+
+bool emitted(const Column& column, const ReportColumns& columns) {
+  return column.group == kCore || columns.*column.group;
+}
+
+/// The opt-in groups under the names JSON shard stamps give them, in
+/// stamp order.  "timing" is always stamped (true/false), the others only
+/// when on, so reports written before a group existed keep their bytes.
+struct GroupName {
+  bool ReportColumns::*group;
+  std::string_view name;
+};
+constexpr GroupName kGroupNames[] = {{&ReportColumns::timing, "timing"},
+                                     {&ReportColumns::certify, "certify"},
+                                     {&ReportColumns::faults, "faults"},
+                                     {&ReportColumns::classify, "classify"}};
+
+std::string csv_header(const ReportColumns& columns) {
+  std::string header;
+  for (const Column& column : kColumns) {
+    if (!emitted(column, columns)) continue;
+    if (!header.empty()) header += ',';
+    header += column.name;
+  }
+  return header;
+}
+
+}  // namespace
+
+ReportColumns report_columns(const SweepSpec& spec, const ExecOptions& exec,
+                             bool timing, bool classify) {
+  const FaultPlan* faults =
+      exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
+  ReportColumns columns{classify, exec.certify,
+                        faults != nullptr && faults->has_net_faults(), timing};
+  for (const std::string& s : spec.scenarios)
+    if (is_file_scenario(s)) columns.classify = true;
+  return columns;
+}
+
 // ------------------------------------------------------------------- CSV ---
 
 void CsvWriter::begin(const SweepSpec& spec, std::size_t total_cells) {
   if (spec.shard_count > 1)
-    out_ << "# shard " << fmt_int(spec.shard_index) << '/'
-         << fmt_int(spec.shard_count) << " cells " << fmt_int(total_cells)
+    out_ << "# shard " << fmt(spec.shard_index) << '/'
+         << fmt(spec.shard_count) << " cells " << fmt(total_cells)
          << " spec " << spec_fingerprint(spec) << '\n';
-  out_ << "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
-          "base_edges,comm_power,comm_edges,target_edges,solution_size,"
-          "solution_weight,feasible,exact,rounds,messages,total_bits,"
-          "baseline,baseline_size,ratio,weight_baseline,baseline_weight,"
-          "ratio_weight";
-  if (classify_) out_ << ",regime,regime_alpha";
-  if (certify_) out_ << ",certified";
-  if (faults_)
-    out_ << ",msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived";
-  if (timing_) out_ << ",wall_ms";
-  out_ << ",error\n";
+  out_ << csv_header(columns_) << '\n';
 }
 
 void CsvWriter::row(const CellResult& cell) {
-  const CellSpec& spec = cell.spec;
-  out_ << fmt_int(cell.cell_index) << ',' << spec.scenario << ','
-       << spec.algorithm << ',' << fmt_int(spec.n) << ',' << fmt_int(spec.r)
-       << ',' << (spec.epsilon_used ? fmt_general(spec.epsilon) : "-") << ','
-       // Canonical weighting names are comma-free by construction;
-       // sanitize anyway so a hand-built CellSpec cannot shift columns.
-       << (spec.weights_used ? csv_sanitize(spec.weighting) : "-") << ','
-       << fmt_int(spec.seed) << ',' << cell_status_name(cell.status) << ','
-       << fmt_int(cell.base_edges) << ',' << fmt_int(cell.comm_power) << ','
-       << fmt_int(cell.comm_edges) << ',' << fmt_int(cell.target_edges)
-       << ',' << fmt_int(cell.solution_size) << ','
-       << fmt_int(cell.solution_weight) << ',' << (cell.feasible ? '1' : '0')
-       << ',' << (cell.exact ? '1' : '0') << ',' << fmt_int(cell.rounds)
-       << ',' << fmt_int(cell.messages) << ',' << fmt_int(cell.total_bits)
-       << ',' << baseline_kind_name(cell.baseline) << ','
-       << fmt_int(cell.baseline_size) << ','
-       << (cell.baseline == BaselineKind::kNone ? "-"
-                                                : fmt_fixed(cell.ratio, 4))
-       // The weighted oracle gets its own kind/value columns: it succeeds
-       // or downgrades independently of the size oracle, and a
-       // ratio_weight without them would read as exact-relative when the
-       // weighted solve actually fell back to greedy.
-       << ',' << baseline_kind_name(cell.weight_baseline) << ','
-       << fmt_int(cell.baseline_weight) << ','
-       << (cell.weight_baseline == BaselineKind::kNone
-               ? "-"
-               : fmt_fixed(cell.ratio_weight, 4));
-  // "-" on rows that never built a topology (failed/missing before the
-  // group opened); the classification itself is a pure function of the
-  // topology, so the bytes stay deterministic.
-  if (classify_) {
-    if (cell.regime.empty())
-      out_ << ",-,-";
-    else
-      out_ << ',' << csv_sanitize(cell.regime) << ','
-           << fmt_fixed(cell.regime_alpha, 3);
+  line_.clear();
+  for (const Column& column : kColumns) {
+    if (!emitted(column, columns_)) continue;
+    if (&column != kColumns) line_ += ',';
+    append_csv(line_, column.get(cell));
   }
-  // "yes" only for rows that passed the independent re-check, "no" for
-  // rows it demoted; failed/timeout/missing rows never reached it.
-  if (certify_)
-    out_ << ','
-         << (cell.status == CellStatus::kOk
-                 ? "yes"
-                 : cell.status == CellStatus::kUnverified ? "no" : "-");
-  if (faults_)
-    out_ << ',' << fmt_int(cell.msgs_dropped) << ','
-         << fmt_int(cell.msgs_corrupted) << ',' << fmt_int(cell.nodes_crashed)
-         << ',' << fmt_int(cell.rounds_survived);
-  if (timing_) out_ << ',' << fmt_fixed(cell.wall_ms, 3);
-  out_ << ',' << csv_sanitize(cell.error) << '\n';
+  line_ += '\n';
+  out_ << line_;
 }
 
 void write_csv(std::ostream& out, const SweepResult& result,
@@ -215,16 +350,13 @@ void JsonWriter::begin(const SweepSpec& spec, std::size_t total_cells) {
   out_ << "{\n  \"spec\": {";
   write_spec_dims_json(out_, spec);
   if (spec.shard_count > 1) {
-    out_ << ", \"shard_index\": " << fmt_int(spec.shard_index)
-         << ", \"shard_count\": " << fmt_int(spec.shard_count)
-         << ", \"total_cells\": " << fmt_int(total_cells) << ", \"timing\": "
-         << (timing_ ? "true" : "false");
-    // Stamped only when set, so reports written before these modes
-    // existed keep their bytes; the merger folds them into the shard
-    // identity either way.
-    if (certify_) out_ << ", \"certify\": true";
-    if (faults_) out_ << ", \"faults\": true";
-    if (classify_) out_ << ", \"classify\": true";
+    out_ << ", \"shard_index\": " << fmt(spec.shard_index)
+         << ", \"shard_count\": " << fmt(spec.shard_count)
+         << ", \"total_cells\": " << fmt(total_cells);
+    for (const GroupName& g : kGroupNames)
+      if (columns_.*g.group || g.group == &ReportColumns::timing)
+        out_ << ", \"" << g.name << "\": "
+             << (columns_.*g.group ? "true" : "false");
     out_ << ", \"spec_fingerprint\": \"" << spec_fingerprint(spec) << '"';
   }
   out_ << "},\n  \"cells\": [";
@@ -232,79 +364,25 @@ void JsonWriter::begin(const SweepSpec& spec, std::size_t total_cells) {
 }
 
 void JsonWriter::row(const CellResult& cell) {
-  out_ << (first_row_ ? "\n" : ",\n");
+  line_ = first_row_ ? "\n    {" : ",\n    {";
   first_row_ = false;
-  const CellSpec& cs = cell.spec;
-  out_ << "    {\"cell_index\": " << fmt_int(cell.cell_index)
-       << ", \"scenario\": \"" << json_escape(cs.scenario)
-       << "\", \"algorithm\": \"" << json_escape(cs.algorithm)
-       << "\", \"n\": " << fmt_int(cs.n) << ", \"r\": " << fmt_int(cs.r)
-       << ", \"epsilon\": ";
-  if (cs.epsilon_used)
-    out_ << fmt_general(cs.epsilon);
-  else
-    out_ << "null";
-  out_ << ", \"weighting\": ";
-  if (cs.weights_used)
-    out_ << '"' << json_escape(cs.weighting) << '"';
-  else
-    out_ << "null";
-  out_ << ", \"seed\": " << fmt_int(cs.seed) << ", \"status\": \""
-       << cell_status_name(cell.status) << "\", \"base_edges\": "
-       << fmt_int(cell.base_edges) << ", \"comm_power\": "
-       << fmt_int(cell.comm_power) << ", \"comm_edges\": "
-       << fmt_int(cell.comm_edges) << ", \"target_edges\": "
-       << fmt_int(cell.target_edges) << ", \"solution_size\": "
-       << fmt_int(cell.solution_size) << ", \"solution_weight\": "
-       << fmt_int(cell.solution_weight) << ", \"feasible\": "
-       << (cell.feasible ? "true" : "false")
-       << ", \"exact\": " << (cell.exact ? "true" : "false")
-       << ", \"rounds\": " << fmt_int(cell.rounds) << ", \"messages\": "
-       << fmt_int(cell.messages) << ", \"total_bits\": "
-       << fmt_int(cell.total_bits) << ", \"baseline\": \""
-       << baseline_kind_name(cell.baseline) << "\", \"baseline_size\": "
-       << fmt_int(cell.baseline_size) << ", \"ratio\": ";
-  if (cell.baseline == BaselineKind::kNone)
-    out_ << "null";
-  else
-    out_ << fmt_fixed(cell.ratio, 4);
-  out_ << ", \"weight_baseline\": \""
-       << baseline_kind_name(cell.weight_baseline)
-       << "\", \"baseline_weight\": " << fmt_int(cell.baseline_weight)
-       << ", \"ratio_weight\": ";
-  if (cell.weight_baseline == BaselineKind::kNone)
-    out_ << "null";
-  else
-    out_ << fmt_fixed(cell.ratio_weight, 4);
-  if (classify_) {
-    if (cell.regime.empty())
-      out_ << ", \"regime\": null, \"regime_alpha\": null";
-    else
-      out_ << ", \"regime\": \"" << json_escape(cell.regime)
-           << "\", \"regime_alpha\": " << fmt_fixed(cell.regime_alpha, 3);
+  for (const Column& column : kColumns) {
+    if (!emitted(column, columns_) ||
+        (column.json_only_on_failure && cell.status == CellStatus::kOk))
+      continue;
+    if (&column != kColumns) line_ += ", ";
+    append_json_key(line_, column.name);
+    append_json(line_, column.get(cell));
   }
-  if (certify_)
-    out_ << ", \"certified\": "
-         << (cell.status == CellStatus::kOk
-                 ? "true"
-                 : cell.status == CellStatus::kUnverified ? "false" : "null");
-  if (faults_)
-    out_ << ", \"msgs_dropped\": " << fmt_int(cell.msgs_dropped)
-         << ", \"msgs_corrupted\": " << fmt_int(cell.msgs_corrupted)
-         << ", \"nodes_crashed\": " << fmt_int(cell.nodes_crashed)
-         << ", \"rounds_survived\": " << fmt_int(cell.rounds_survived);
-  if (timing_)
-    out_ << ", \"wall_ms\": " << fmt_fixed(cell.wall_ms, 3);
-  if (cell.status != CellStatus::kOk)
-    out_ << ", \"error\": \"" << json_escape(cell.error) << '"';
-  out_ << '}';
+  line_ += '}';
+  out_ << line_;
 }
 
 void JsonWriter::end(double peak_rss_mb) {
   out_ << "\n  ]";
-  if (timing_ && peak_rss_mb >= 0.0)
-    out_ << ",\n  \"meta\": {\"peak_rss_mb\": " << fmt_fixed(peak_rss_mb, 1)
-         << '}';
+  if (columns_.timing && peak_rss_mb >= 0.0)
+    out_ << ",\n  \"meta\": {\"peak_rss_mb\": "
+         << fmt(peak_rss_mb, std::chars_format::fixed, 1) << '}';
   out_ << "\n}\n";
 }
 
@@ -351,7 +429,7 @@ struct ShardStamp {
   int count = 0;
   std::uint64_t total_cells = 0;
   // The fingerprint plus any row-shape modifiers (the JSON merger appends
-  // the timing flag; the CSV merger covers timing via its header check).
+  // the opt-in groups; the CSV merger covers them via its header check).
   std::string fingerprint;
 };
 
@@ -424,25 +502,14 @@ std::vector<std::pair<std::uint64_t, std::string>> validate_and_sort(
                    std::to_string(head.count));
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (!allow_partial) {
-    if (rows.size() != head.total_cells)
-      merge_fail("rows do not cover the grid: got " +
-                 std::to_string(rows.size()) + " of " +
-                 std::to_string(head.total_cells) + " cells");
-    for (std::size_t t = 0; t < rows.size(); ++t) {
-      if (rows[t].first == t) continue;
-      if (t > 0 && rows[t].first == rows[t - 1].first)
-        merge_fail("rows do not cover the grid: cell " +
-                   std::to_string(rows[t].first) + " duplicated");
-      merge_fail("rows do not cover the grid: cell " + std::to_string(t) +
-                 " missing");
-    }
-    return rows;
-  }
+  if (!allow_partial && rows.size() != head.total_cells)
+    merge_fail("rows do not cover the grid: got " +
+               std::to_string(rows.size()) + " of " +
+               std::to_string(head.total_cells) + " cells");
 
-  // Partial mode: fill every gap with a status=missing placeholder.
-  // Incomplete is fine; inconsistent (duplicate or out-of-range cells)
-  // still is not.
+  // A gap becomes a status=missing placeholder in partial mode: incomplete
+  // is fine there, but inconsistent (duplicate or out-of-range cells)
+  // never is.
   std::vector<std::pair<std::uint64_t, std::string>> full;
   full.reserve(static_cast<std::size_t>(head.total_cells));
   std::size_t at = 0;
@@ -453,8 +520,11 @@ std::vector<std::pair<std::uint64_t, std::string>> validate_and_sort(
       if (at < rows.size() && rows[at].first == t)
         merge_fail("rows do not cover the grid: cell " + std::to_string(t) +
                    " duplicated");
-    } else {
+    } else if (allow_partial) {
       full.emplace_back(t, make_missing_row(t));
+    } else {
+      merge_fail("rows do not cover the grid: cell " + std::to_string(t) +
+                 " missing");
     }
   }
   if (at != rows.size())
@@ -494,6 +564,24 @@ ShardStamp parse_csv_stamp(std::string_view line) {
   return stamp;
 }
 
+/// The opt-in groups whose columns a CSV header names.  Refuses a header
+/// the column table does not reproduce: its placeholder rows would not
+/// match the shape of the real ones.
+ReportColumns columns_of_header(std::string_view header) {
+  ReportColumns columns;
+  for (std::size_t from = 0; from <= header.size();) {
+    const std::size_t comma = std::min(header.find(',', from), header.size());
+    for (const Column& column : kColumns)
+      if (column.group != kCore &&
+          column.name == header.substr(from, comma - from))
+        columns.*column.group = true;
+    from = comma + 1;
+  }
+  if (csv_header(columns) != header)
+    merge_fail("unrecognized CSV header '" + std::string(header) + "'");
+  return columns;
+}
+
 }  // namespace
 
 std::string merge_csv(const std::vector<std::string>& shard_reports,
@@ -523,19 +611,15 @@ std::string merge_csv(const std::vector<std::string>& shard_reports,
     shards.push_back(std::move(shard));
   }
 
-  // The shards' shared header says which optional columns rows carry;
+  // The shards' shared header says which opt-in groups rows carry;
   // synthesized placeholders must match its shape.
-  const bool timing = header.find(",wall_ms") != std::string::npos;
-  const bool certify = header.find(",certified") != std::string::npos;
-  const bool faults = header.find(",msgs_dropped") != std::string::npos;
-  const bool classify = header.find(",regime") != std::string::npos;
+  const ReportColumns columns = columns_of_header(header);
   const auto rows = validate_and_sort(
       std::move(shards), allow_partial, [&](std::uint64_t index) {
         std::ostringstream row;
-        CsvWriter writer(row, timing, certify, faults, classify);
-        writer.row(missing_cell(index));
+        CsvWriter(row, columns).row(missing_cell(index));
         std::string text = row.str();
-        if (!text.empty() && text.back() == '\n') text.pop_back();
+        text.pop_back();  // the newline
         return text;
       });
   std::string out = header + '\n';
@@ -568,12 +652,11 @@ std::uint64_t json_field_u64(std::string_view text, std::string_view key) {
 
 std::string merge_json(const std::vector<std::string>& shard_reports,
                        bool allow_partial) {
+  std::string index_key;
+  append_json_key(index_key, kColumns[0].name);
   std::vector<ShardRows> shards;
   std::string spec_dims;  // the spec body minus the shard stamp fields
-  bool merged_timing = false;
-  bool merged_certify = false;
-  bool merged_faults = false;
-  bool merged_classify = false;
+  ReportColumns columns;  // all shards agree (the fingerprint folds it)
   for (const std::string& report : shard_reports) {
     if (report.substr(0, kJsonSpecOpen.size()) != kJsonSpecOpen)
       merge_fail("input is not a sweep JSON report");
@@ -610,30 +693,19 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
       merge_fail("malformed spec_fingerprint");
     shard.stamp.fingerprint =
         std::string(stamp_text.substr(fp_from, fp_to - fp_from));
-    // Shards written with different --timing settings have differently
-    // shaped rows; fold the flag into the identity so they refuse to merge.
-    const bool timing =
-        stamp_text.find("\"timing\": true") != std::string_view::npos;
-    if (!timing &&
-        stamp_text.find("\"timing\": false") == std::string_view::npos)
-      merge_fail("shard stamp lacks \"timing\"");
-    shard.stamp.fingerprint += timing ? "+t" : "";
-    merged_timing = timing;  // all shards agree (the fingerprint folds it)
-    // Certify/faults reshape rows the same way timing does, so they fold
-    // into the shard identity too: shards written under different modes
-    // refuse to merge instead of producing a ragged cells array.
-    const bool certify =
-        stamp_text.find("\"certify\": true") != std::string_view::npos;
-    const bool faults =
-        stamp_text.find("\"faults\": true") != std::string_view::npos;
-    const bool classify =
-        stamp_text.find("\"classify\": true") != std::string_view::npos;
-    shard.stamp.fingerprint += certify ? "+c" : "";
-    shard.stamp.fingerprint += faults ? "+f" : "";
-    shard.stamp.fingerprint += classify ? "+g" : "";
-    merged_certify = certify;
-    merged_faults = faults;
-    merged_classify = classify;
+    // Shards written with different opt-in groups have differently shaped
+    // rows; fold the groups into the identity so they refuse to merge
+    // instead of producing a ragged cells array.
+    for (const GroupName& g : kGroupNames) {
+      std::string key;
+      append_json_key(key, g.name);
+      const bool on = stamp_text.find(key + "true") != std::string_view::npos;
+      if (g.group == &ReportColumns::timing && !on &&
+          stamp_text.find(key + "false") == std::string_view::npos)
+        merge_fail("shard stamp lacks \"" + std::string(g.name) + "\"");
+      columns.*g.group = on;
+      if (on) shard.stamp.fingerprint += "+" + std::string(g.name);
+    }
 
     // The cells array closes with "\n  ]"; after it comes either the
     // document tail or an optional (timing-mode) ",\n  \"meta\": {…}"
@@ -662,7 +734,7 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
       std::size_t next = cells.find(",\n    {", 1);
       std::string_view cell =
           next == std::string_view::npos ? cells : cells.substr(0, next);
-      const std::uint64_t index = json_field_u64(cell, "\"cell_index\": ");
+      const std::uint64_t index = json_field_u64(cell, index_key);
       if (cell.substr(0, 1) == "\n") cell.remove_prefix(1);
       shard.rows.emplace_back(index, std::string(cell));
       if (next == std::string_view::npos) break;
@@ -674,12 +746,8 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
   const auto rows = validate_and_sort(
       std::move(shards), allow_partial, [&](std::uint64_t index) {
         std::ostringstream row;
-        JsonWriter writer(row, merged_timing, merged_certify, merged_faults,
-                          merged_classify);
-        writer.row(missing_cell(index));  // leading "\n" from first_row_
-        std::string text = row.str();
-        if (!text.empty() && text.front() == '\n') text.erase(0, 1);
-        return text;
+        JsonWriter(row, columns).row(missing_cell(index));
+        return row.str().substr(1);  // drop the first row's leading "\n"
       });
   std::string out;
   out += kJsonSpecOpen;

@@ -34,36 +34,55 @@ namespace pg::scenario {
 /// reports carry it so `merge` can refuse shards of different sweeps.
 std::string spec_fingerprint(const SweepSpec& spec);
 
-/// One row per cell.  Columns: cell_index,scenario,algorithm,n,r,epsilon,
-/// weighting,seed,status,base_edges,comm_power,comm_edges,target_edges,
-/// solution_size,solution_weight,feasible,exact,rounds,messages,
-/// total_bits,baseline,baseline_size,ratio,weight_baseline,
-/// baseline_weight,ratio_weight[,regime,regime_alpha][,certified]
+/// The opt-in column groups of a report; the core columns are always
+/// emitted.  Each group is off by default so default reports keep their
+/// historic bytes.
+struct ReportColumns {
+  bool classify = false;  // regime,regime_alpha
+  bool certify = false;   // certified
+  bool faults = false;    // msgs_dropped,msgs_corrupted,nodes_crashed,
+                          // rounds_survived
+  bool timing = false;    // wall_ms — breaks byte-stability
+};
+
+/// Chooses a sweep's column groups once, for every writer, shard child
+/// and journal-backed resume alike: certify from `exec.certify`; faults
+/// when the active fault plan (`exec.fault_plan`, else $PG_FAULT_PLAN)
+/// has network directives; classify when asked for or when any scenario
+/// is file:-backed (real graphs are about their degree regime); timing
+/// when asked for.
+ReportColumns report_columns(const SweepSpec& spec, const ExecOptions& exec,
+                             bool timing, bool classify);
+
+/// One row per cell, one column per entry of the column table in
+/// report.cpp (a new column is one line there), in table order:
+/// cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,
+/// base_edges,comm_power,comm_edges,target_edges,solution_size,
+/// solution_weight,feasible,exact,rounds,messages,total_bits,baseline,
+/// baseline_size,ratio,weight_baseline,baseline_weight,ratio_weight
+/// [,regime,regime_alpha][,certified]
 /// [,msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived]
-/// [,wall_ms],error.  The two oracles
-/// report their kinds separately (baseline vs weight_baseline) because
-/// they succeed or downgrade independently.
-/// The optional blocks are opt-in so default reports keep their historic
-/// bytes: `certify` adds the certified verdict column (yes for a row that
-/// survived the independent re-check, no for one demoted to unverified,
-/// "-" for rows that never reached certification), `faults` adds the
-/// adversarial-network accounting columns, `classify` adds the
-/// degree-distribution columns (regime,regime_alpha — automatic for
-/// sweeps over file:-backed scenarios, opt-in via --classify otherwise).
-/// epsilon (resp. weighting) is "-" for algorithms that ignore it; ratio
-/// and ratio_weight are "-" when the corresponding baseline was not
-/// computed; feasible/exact are 0/1; error is empty on success
-/// (commas/newlines inside messages are replaced by ';').  All numbers
-/// are formatted locale-independently (std::to_chars), so the bytes — and
-/// the shard-merge equality they guarantee — cannot depend on the host's
-/// LC_NUMERIC.
+/// [,wall_ms],error.  The two oracles report their kinds separately
+/// (baseline vs weight_baseline) because they succeed or downgrade
+/// independently.  certified is yes for a row that survived the
+/// independent re-check, no for one demoted to unverified, "-" for rows
+/// that never reached certification.
+/// "-" marks a value that does not apply: epsilon/weighting for
+/// algorithms that ignore them, ratio/ratio_weight without a baseline,
+/// regime/regime_alpha on rows that never built a topology.  Flags are
+/// 0/1; error is empty on success; commas/newlines inside any string are
+/// replaced by ';'.  All numbers are formatted locale-independently
+/// (std::to_chars), so the bytes — and the shard-merge equality they
+/// guarantee — cannot depend on the host's LC_NUMERIC.
 class CsvWriter {
  public:
+  CsvWriter(std::ostream& out, ReportColumns columns)
+      : out_(out), columns_(columns) {}
   explicit CsvWriter(std::ostream& out, bool include_timing = false,
                      bool certify = false, bool faults = false,
                      bool classify = false)
-      : out_(out), timing_(include_timing), certify_(certify),
-        faults_(faults), classify_(classify) {}
+      : CsvWriter(out, ReportColumns{classify, certify, faults,
+                                     include_timing}) {}
 
   /// Shard stamp (`# shard i/k cells N spec H`, only when spec.shard_count
   /// > 1) followed by the header row.  `total_cells` is the full grid's
@@ -73,22 +92,24 @@ class CsvWriter {
 
  private:
   std::ostream& out_;
-  bool timing_;
-  bool certify_;
-  bool faults_;
-  bool classify_;
+  ReportColumns columns_;
+  std::string line_;
 };
 
-/// {"spec": {...}, "cells": [...]} with the same fields as the CSV;
-/// epsilon/ratio are null where the CSV prints "-".  Sharded specs add
-/// shard_index/shard_count/total_cells/timing/spec_fingerprint to "spec".
+/// {"spec": {...}, "cells": [...]} with the same columns as the CSV; "-"
+/// becomes null, flags and verdicts become true/false, and `error` is
+/// omitted on ok rows.  Sharded specs add shard_index/shard_count/
+/// total_cells/timing, the other opt-in groups that are on, and
+/// spec_fingerprint to "spec".
 class JsonWriter {
  public:
+  JsonWriter(std::ostream& out, ReportColumns columns)
+      : out_(out), columns_(columns) {}
   explicit JsonWriter(std::ostream& out, bool include_timing = false,
                       bool certify = false, bool faults = false,
                       bool classify = false)
-      : out_(out), timing_(include_timing), certify_(certify),
-        faults_(faults), classify_(classify) {}
+      : JsonWriter(out, ReportColumns{classify, certify, faults,
+                                      include_timing}) {}
 
   void begin(const SweepSpec& spec, std::size_t total_cells);
   void row(const CellResult& cell);
@@ -101,10 +122,8 @@ class JsonWriter {
 
  private:
   std::ostream& out_;
-  bool timing_;
-  bool certify_;
-  bool faults_;
-  bool classify_;
+  ReportColumns columns_;
+  std::string line_;
   bool first_row_ = true;
 };
 

@@ -194,6 +194,12 @@ struct SweepSummary {
   std::size_t replayed = 0;  // rows restored from the journal by --resume
   std::size_t total_cells = 0;  // full-grid cell count (all shards)
   double wall_ms_total = 0.0;
+
+  /// Every row ran ok, feasible and (under --certify) certified — the
+  /// condition for a zero exit status.
+  bool clean() const {
+    return failed == 0 && timeout == 0 && infeasible == 0 && unverified == 0;
+  }
 };
 
 /// Receives finished rows in ascending cell_index order.

@@ -21,7 +21,6 @@
 #define PG_HAS_SPAWN 0
 #endif
 
-#include "scenario/fault.hpp"
 #include "scenario/report.hpp"
 #include "util/check.hpp"
 #include "util/rss.hpp"
@@ -116,7 +115,7 @@ std::string shard_file_stem(int index, int count) {
 /// skips atexit and stdio flushing on purpose — the parent owns those
 /// buffers).
 [[noreturn]] void run_child(const SweepSpec& spec, const ExecOptions& exec,
-                            bool timing, bool classify,
+                            const ReportColumns& columns,
                             const std::string& csv_file,
                             const std::string& json_file, int pipe_fd) {
   int code = 2;
@@ -125,15 +124,8 @@ std::string shard_file_stem(int index, int count) {
     std::ofstream json(json_file, std::ios::binary);
     if (!csv || !json)
       throw PreconditionViolation("cannot open shard report file");
-    // Children inherit the parent's certify/fault modes through the
-    // forked ExecOptions; their shard reports must carry the matching
-    // optional columns or the merge would produce ragged rows.
-    const FaultPlan* faults =
-        exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
-    const bool fault_columns = faults != nullptr && faults->has_net_faults();
-    CsvWriter csv_writer(csv, timing, exec.certify, fault_columns, classify);
-    JsonWriter json_writer(json, timing, exec.certify, fault_columns,
-                           classify);
+    CsvWriter csv_writer(csv, columns);
+    JsonWriter json_writer(json, columns);
     const std::size_t mine = shard_cell_indices(spec).size();
     const std::size_t total = count_grid_cells(spec);
     csv_writer.begin(spec, total);
@@ -157,7 +149,7 @@ std::string shard_file_stem(int index, int count) {
         },
         exec);
     const double rss = util::peak_rss_mb();
-    json_writer.end(timing ? rss : -1.0);
+    json_writer.end(rss);
     csv.flush();
     json.flush();
     if (!csv || !json)
@@ -175,10 +167,7 @@ std::string shard_file_stem(int index, int count) {
                   summary.wall_ms_total);
     s << buffer;
     pipe_line(pipe_fd, s.str());
-    code = summary.failed == 0 && summary.timeout == 0 &&
-                   summary.infeasible == 0 && summary.unverified == 0
-               ? 0
-               : 1;
+    code = summary.clean() ? 0 : 1;
   } catch (const std::exception& error) {
     pipe_line(pipe_fd, std::string("e ") + error.what());
   } catch (...) {
@@ -362,8 +351,8 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
       ExecOptions child_exec = opts.exec;
       if (resume && !child_exec.journal_dir.empty())
         child_exec.resume = true;
-      run_child(child_spec, child_exec, opts.timing, opts.classify,
-                csv_file(child.index), json_file(child.index), fds[1]);
+      run_child(child_spec, child_exec, opts.columns, csv_file(child.index),
+                json_file(child.index), fds[1]);
     }
     ::close(fds[1]);
     child.pid = pid;
@@ -504,11 +493,7 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
   if (total.replayed > 0) err << ", " << total.replayed << " replayed";
   if (missing > 0) err << ", " << missing << " missing";
   err << ", " << wall << " ms, peak child rss " << rss << " MB\n";
-  return total.failed == 0 && total.timeout == 0 &&
-                 total.infeasible == 0 && total.unverified == 0 &&
-                 missing == 0
-             ? 0
-             : 1;
+  return total.clean() && missing == 0 ? 0 : 1;
 }
 
 #else  // !PG_HAS_SPAWN

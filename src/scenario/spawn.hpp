@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/report.hpp"
 #include "scenario/runner.hpp"
 
 namespace pg::scenario {
@@ -69,11 +70,9 @@ struct SpawnOptions {
   bool allow_partial = false;
   /// Stream `[i/k]` child progress lines to the diagnostic stream.
   bool progress = false;
-  /// Include wall-clock fields in the reports (forwarded to the writers).
-  bool timing = false;
-  /// Emit the degree-regime columns (forwarded to the writers; the CLI
-  /// turns this on automatically when any scenario is file:-backed).
-  bool classify = false;
+  /// The report's opt-in column groups (see report_columns), forwarded
+  /// to every child's writers so the shard reports merge.
+  ReportColumns columns;
   /// Forwarded to every child's ExecOptions (journal_dir/resume give each
   /// child its own journal file inside the shared directory).
   ExecOptions exec;

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario/algorithms.hpp"
@@ -27,23 +28,36 @@ struct ConformanceCase {
   double ratio_bound = 0.0;  // 0 = no ratio assertion (feasibility only)
 };
 
+/// The registry's published bound, so the suite holds every algorithm to
+/// the constant --certify enforces.  These cells run the weighted
+/// algorithms with the default unit weighting (the weighted bounds against
+/// exact weighted optima live in scenario_weighted_test.cpp).  Under unit
+/// weights both reach (1+eps): mwvc's leader solves exactly at these
+/// sizes, and gr-mwvc's class condition degenerates to gr-mvc's ball
+/// condition with an exact remainder.  Feasibility-only algorithms (mds:
+/// O(log Delta)) get a generous cap for n <= 24.
 double ratio_bound_for(const Algorithm& alg, double epsilon) {
-  if (alg.name == "mvc" || alg.name == "mvc-rand" || alg.name == "gr-mvc" ||
-      alg.name == "clique-mvc")
-    return 1.0 + 1.0 / std::ceil(1.0 / epsilon);
-  if (alg.name == "mvc53") return 5.0 / 3.0;
-  // These cells run the weighted algorithms with the default unit
-  // weighting (the weighted bounds against exact weighted optima live in
-  // scenario_weighted_test.cpp).  Under unit weights both reach (1+eps):
-  // mwvc's leader solves exactly at these sizes, and gr-mwvc's class
-  // condition degenerates to gr-mvc's ball condition with an exact
-  // remainder.
-  if (alg.name == "mwvc" || alg.name == "gr-mwvc")
-    return 1.0 + 1.0 / std::ceil(1.0 / epsilon);
-  if (alg.name == "matching") return 2.0;
-  if (alg.name == "naive-mvc" || alg.name == "naive-mds") return 1.0;
-  if (alg.name == "mds") return 12.0;  // generous O(log Delta) cap, n <= 24
-  return 0.0;  // unknown future algorithm: assert feasibility only
+  const double published = published_ratio_bound(alg, epsilon);
+  return published > 0.0 ? published : 12.0;
+}
+
+TEST(RatioBounds, PinnedForEveryVisibleAlgorithm) {
+  // name -> bound at eps = 0.5 and at eps = 0.3 (rounded to 1/4).
+  const std::vector<std::tuple<std::string, double, double>> expected = {
+      {"clique-mvc", 1.5, 1.25}, {"gr-mvc", 1.5, 1.25},
+      {"gr-mwvc", 1.5, 1.25},    {"matching", 2.0, 2.0},
+      {"mds", 0.0, 0.0},         {"mvc", 1.5, 1.25},
+      {"mvc-rand", 1.5, 1.25},   {"mvc53", 5.0 / 3.0, 5.0 / 3.0},
+      {"mwvc", 1.5, 1.25},       {"naive-mds", 1.0, 1.0},
+      {"naive-mvc", 1.0, 1.0}};
+  std::vector<std::string> names;
+  for (const auto& [name, at_half, at_03] : expected) {
+    names.push_back(name);
+    const Algorithm& alg = algorithm_or_throw(name);
+    EXPECT_DOUBLE_EQ(published_ratio_bound(alg, 0.5), at_half) << name;
+    EXPECT_DOUBLE_EQ(published_ratio_bound(alg, 0.3), at_03) << name;
+  }
+  EXPECT_EQ(names, algorithm_names()) << "a visible algorithm lacks a pin";
 }
 
 std::vector<ConformanceCase> make_cases() {

@@ -306,6 +306,46 @@ TEST(Resume, ByteIdenticalAcrossTruncationPointsAndThreadCounts) {
   }
 }
 
+TEST(Resume, FinalRecordWithoutNewlineIsTorn) {
+  const SweepSpec spec = base_spec();
+  const std::size_t total = count_grid_cells(spec);
+  const std::string baseline = sweep_csv(spec).csv;
+  const TempDir dir;
+  ExecOptions opts;
+  opts.journal_dir = dir.str();
+  sweep_csv(spec, opts);
+  const std::string path = journal_path(dir.str(), spec);
+  ASSERT_EQ(journal_records(path), 16u);
+
+  // Cut only the final '\n': the last record's bytes and checksum are
+  // intact, but a crash may have stopped the write anywhere before the
+  // newline, so it must not count as written.
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size - 1);
+  const JournalContents contents = read_journal(path, spec, total);
+  EXPECT_EQ(contents.rows.size(), 15u);
+  EXPECT_LE(contents.valid_bytes, size - 1);
+
+  // Resuming re-runs the torn record's group, appends after the last
+  // intact record (no padding byte, no record glued to the torn one) and
+  // reproduces the uninterrupted report.
+  opts.resume = true;
+  const SweepRun run = sweep_csv(spec, opts);
+  EXPECT_EQ(run.csv, baseline);
+  EXPECT_EQ(run.summary.replayed, 14u);
+  const JournalContents repaired = read_journal(path, spec, total);
+  EXPECT_EQ(repaired.rows.size(), 16u);
+  EXPECT_EQ(repaired.valid_bytes, std::filesystem::file_size(path));
+
+  // A header without its newline is a torn header: an empty journal.
+  std::string header;
+  std::getline(std::ifstream(path, std::ios::binary), header);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << header;
+  const JournalContents torn_header = read_journal(path, spec, total);
+  EXPECT_TRUE(torn_header.rows.empty());
+  EXPECT_EQ(torn_header.valid_bytes, 0u);
+}
+
 TEST(Resume, WorksPerShard) {
   SweepSpec spec = base_spec();
   spec.shard_index = 2;
