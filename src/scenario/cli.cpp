@@ -173,16 +173,16 @@ void print_usage(std::ostream& out) {
          "      [--spawn K]             self-driving multi-process sweep:\n"
          "                              fork K shard children, balance\n"
          "                              groups by predicted cost, stream\n"
-         "                              progress, auto-merge byte-identical\n"
+         "                              progress, write the byte-identical\n"
          "                              output; composes with --journal/\n"
          "                              --resume (per-child journals),\n"
          "                              --retries (respawn dead children,\n"
          "                              resuming), and --allow-partial\n"
          "      [--progress]            with --spawn: stream [i/k] child\n"
          "                              progress lines to stderr\n"
-         "      [--allow-partial]       with --spawn: merge with\n"
-         "                              status=missing rows when a child\n"
-         "                              stays dead after all retries\n"
+         "      [--allow-partial]       with --spawn: write status=missing\n"
+         "                              rows for a child that stays dead\n"
+         "                              after all retries\n"
          "      [--journal DIR]         journal finished cells to DIR\n"
          "      [--resume DIR]          replay DIR's journal, then run only\n"
          "                              the remaining cells (output is byte-\n"
@@ -194,10 +194,13 @@ void print_usage(std::ostream& out) {
          "                              the measured per-cell mean, floor\n"
          "                              250 ms)\n"
          "      [--isolate]             fork each topology group so a crash\n"
-         "                              costs one group (status=failed),\n"
-         "                              not the sweep (POSIX only)\n"
-         "      [--retries K]           re-run a crashed isolated group up\n"
-         "                              to K extra times with backoff\n"
+         "                              costs only the cells its child had\n"
+         "                              not sent (status=failed); composes\n"
+         "                              with --threads/--spawn (POSIX only)\n"
+         "      [--retries K]           relaunch a dead child (isolated group\n"
+         "                              or --spawn shard) up to K extra\n"
+         "                              times; fault-plan :K bounds count\n"
+         "                              these attempts\n"
          "      [--fault-plan PLAN]     deterministic fault injection; PLAN\n"
          "                              mixes runner directives (throw|\n"
          "                              stall|abort@CELL[:K], build@gG[:K])\n"
@@ -683,13 +686,19 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
         "the grid expands to zero cells: no requested algorithm can express "
         "any requested power r");
   const ReportColumns columns = report_columns(spec, exec, timing, classify);
+  if (!exec.journal_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(exec.journal_dir, ec);
+    if (ec)
+      throw UsageError("cannot create journal directory '" +
+                       exec.journal_dir + "': " + ec.message());
+  }
 
   if (spawn_children > 0) {
     if (!spawn_supported())
       throw UsageError("--spawn needs a POSIX platform");
     SpawnOptions sopts;
     sopts.children = spawn_children;
-    sopts.retries = exec.retries;
     sopts.allow_partial = allow_partial;
     sopts.progress = spawn_progress;
     sopts.columns = columns;
@@ -733,14 +742,6 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
                  columns);
   if (csv) csv->begin(spec, total_cells);
   if (json) json->begin(spec, total_cells);
-
-  if (!exec.journal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(exec.journal_dir, ec);
-    if (ec)
-      throw UsageError("cannot create journal directory '" +
-                       exec.journal_dir + "': " + ec.message());
-  }
 
   const SweepSummary summary = run_sweep_stream(
       spec,

@@ -158,6 +158,16 @@ bool FaultPlan::build_fails(std::uint64_t group_index, int attempt) const {
   return it != groups_.end() && attempt < it->second.max_attempts;
 }
 
+FaultPlan FaultPlan::for_attempt(int attempt) const {
+  FaultPlan plan = *this;
+  const auto used_up = [attempt](const auto& entry) {
+    return attempt >= entry.second.max_attempts;
+  };
+  std::erase_if(plan.cells_, used_up);
+  std::erase_if(plan.groups_, used_up);
+  return plan;
+}
+
 congest::FaultModel FaultPlan::net_model(std::uint64_t cell_index) const {
   congest::FaultModel model = net_;
   model.seed = congest::fault_mix(

@@ -30,11 +30,13 @@
 // partitions, and --resume.
 //
 // Every runner directive takes an optional attempt bound `:k` (e.g. "abort@5:1"):
-// the fault fires only while the runner's retry attempt counter is < k,
-// so retry tests can crash a child once and succeed on the retry.  The
-// plan is consulted by the runner itself (not the adapters), keyed by the
-// *global* cell index, so plans stay stable across shard partitions and
-// thread counts.
+// the fault fires only on the first k attempts of a forked child — an
+// --isolate group or a --spawn shard alike — so retry tests can crash a
+// child once and succeed on the retry.  The parent hands attempt a's
+// child `for_attempt(a)`, the plan with exhausted directives dropped.
+// The plan is consulted by the runner itself (not the adapters), keyed by
+// the *global* cell index, so plans stay stable across shard partitions
+// and thread counts.
 //
 // Plans reach a production binary through the PG_FAULT_PLAN environment
 // variable (the CI fault-injection smoke job uses this); library callers
@@ -74,6 +76,10 @@ class FaultPlan {
 
   /// True iff the topology build of this group is scripted to fail.
   bool build_fails(std::uint64_t group_index, int attempt) const;
+
+  /// The plan as a child on retry attempt `attempt` sees it on its own
+  /// attempt 0: directives whose `:k` bound is used up are dropped.
+  FaultPlan for_attempt(int attempt) const;
 
   /// True iff the plan configures network-level faults (drop/corrupt/crash).
   bool has_net_faults() const { return net_.enabled(); }

@@ -1,5 +1,6 @@
 // Append-only sweep journal: the crash-recovery log behind
-// `sweep --resume` and the wire format of isolate-mode workers.
+// `sweep --resume` and the row wire format of forked children
+// (`--isolate` and `--spawn` alike).
 //
 // A journaled sweep writes one record per *emitted* row, in emission
 // order.  Rows leave the runner in ascending cell_index order, so the
@@ -15,10 +16,9 @@
 // coordinates, grid size): resume refuses a journal written by a
 // different sweep instead of silently mixing rows.
 //
-// The same one-line record format carries rows from forked isolate-mode
-// children back to the parent over a pipe — a crashed child leaves at
-// worst a torn final line, which the parent detects exactly like a torn
-// journal tail.
+// The same one-line record format carries rows from forked children back
+// to the parent over a pipe — a crashed child leaves at worst a torn
+// final line, which the parent detects exactly like a torn journal tail.
 #pragma once
 
 #include <cstdint>

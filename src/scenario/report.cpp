@@ -450,24 +450,6 @@ struct ShardRows {
   std::vector<std::pair<std::uint64_t, std::string>> rows;
 };
 
-/// The placeholder row `--allow-partial` synthesizes for a grid cell no
-/// surviving shard report covered.  Rendered through the real writers so
-/// its bytes track the row format exactly.
-CellResult missing_cell(std::uint64_t index) {
-  CellResult cell;
-  cell.cell_index = index;
-  cell.spec.scenario = "-";
-  cell.spec.algorithm = "-";
-  cell.spec.n = 0;
-  cell.spec.r = 0;
-  cell.spec.epsilon_used = false;
-  cell.spec.weights_used = false;
-  cell.spec.seed = 0;
-  cell.status = CellStatus::kMissing;
-  cell.error = "no shard report covered this cell";
-  return cell;
-}
-
 /// Shared tail of both mergers: validate that the stamps form one
 /// complete partition (same spec, same shard count, every shard exactly
 /// once) and that the combined rows cover cell indices 0..total-1.
@@ -583,6 +565,21 @@ ReportColumns columns_of_header(std::string_view header) {
 }
 
 }  // namespace
+
+CellResult missing_cell(std::uint64_t index) {
+  CellResult cell;
+  cell.cell_index = index;
+  cell.spec.scenario = "-";
+  cell.spec.algorithm = "-";
+  cell.spec.n = 0;
+  cell.spec.r = 0;
+  cell.spec.epsilon_used = false;
+  cell.spec.weights_used = false;
+  cell.spec.seed = 0;
+  cell.status = CellStatus::kMissing;
+  cell.error = "no shard report covered this cell";
+  return cell;
+}
 
 std::string merge_csv(const std::vector<std::string>& shard_reports,
                       bool allow_partial) {

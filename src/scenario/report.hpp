@@ -136,6 +136,12 @@ std::string csv_string(const SweepResult& result, bool include_timing = false);
 std::string json_string(const SweepResult& result,
                         bool include_timing = false);
 
+/// The placeholder row for a grid cell no surviving shard covered:
+/// status=missing, scenario/algorithm "-", zero metrics, an error naming
+/// the gap.  `merge --allow-partial` and `--spawn --allow-partial` render
+/// it through the real writers, so its bytes track the row format.
+CellResult missing_cell(std::uint64_t index);
+
 /// Merges per-shard CSV reports (file *contents*, any order) back into
 /// the byte-identical single-process report.  Throws
 /// PreconditionViolation when the inputs are not shard reports, disagree

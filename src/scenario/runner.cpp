@@ -8,19 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PG_HAS_FORK_ISOLATION 1
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#include <cerrno>
-#else
-#define PG_HAS_FORK_ISOLATION 0
-#endif
 
 // Sanitized builds skip the post-build malloc_trim(0) below: under
 // ThreadSanitizer one full test run hit a SEGV inside glibc's malloc_trim
@@ -51,6 +42,7 @@
 #include "scenario/fault.hpp"
 #include "scenario/journal.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/spawn.hpp"
 #include "scenario/weights.hpp"
 #include "util/cancel.hpp"
 #include "solvers/exact_ds.hpp"
@@ -209,11 +201,7 @@ struct GroupEnv {
   const FaultPlan* faults = nullptr;   // scripted failures (null = none)
   Watchdog* watchdog = nullptr;        // armed per cell when budgeted
   std::size_t worker = 0;              // this worker's watchdog slot
-  int attempt = 0;                     // isolate-mode retry attempt
   std::uint64_t group_index = 0;       // global group index (build@g faults)
-  // Called after each cell's row is final (isolate children stream rows
-  // up their pipe from here, so a later crash keeps earlier cells).
-  std::function<void(const CellResult&)> on_cell;
 };
 
 /// Per-worker recycling bin for CONGEST simulators, keyed by topology
@@ -552,8 +540,7 @@ void execute_cell(const CellSpec& spec, GroupContext& group,
   const auto cell_started = std::chrono::steady_clock::now();
   try {
     if (env.faults != nullptr)
-      trigger_fault(env.faults->cell_action(cell_index, env.attempt),
-                    cell_index);
+      trigger_fault(env.faults->cell_action(cell_index, 0), cell_index);
     const Algorithm& alg = algorithm_or_throw(spec.algorithm);
     PG_REQUIRE(supports_power(alg, spec.r),
                "algorithm '" + alg.name + "' cannot target r=" +
@@ -771,44 +758,46 @@ void stamp_group(const SweepSpec& spec, std::size_t g,
   }
 }
 
-/// Executes one fully stamped group into `results` (cells.size() entries),
-/// stamping each row with its global cell index.  When `keep_solutions`
-/// is false the solution bitsets are dropped once the feasibility check
-/// has consumed them (the sweep path — reports only need sizes).
+/// Executes one fully stamped group, handing `emit` each row, stamped
+/// with its global cell index, the moment it is final.  When `keep_solutions` is false
+/// the solution bitsets are dropped once the feasibility check has
+/// consumed them (the sweep path — reports only need sizes).
 ///
 /// Total by construction: every failure mode — generator exception while
 /// building the topology, per-cell exception, watchdog expiry — lands in
-/// a status row; nothing escapes, so the caller can always hand all
-/// cells.size() rows to the reorder ring.
+/// a status row; nothing escapes, so the caller always gets exactly
+/// cells.size() rows.
 void run_group(const std::vector<CellSpec>& cells,
                std::size_t first_global_index, VertexId exact_baseline_max_n,
                NetworkPool* pool, int power_threads, int congest_threads,
                bool keep_solutions, const GroupEnv& env,
-               CellResult* results) {
+               const std::function<void(CellResult&&)>& emit) {
   const CellSpec& head = cells.front();
   const auto build_started = std::chrono::steady_clock::now();
+  std::size_t emitted = 0;
   // Generator (topology build) failures become cell-local failed rows:
   // each cell of the group gets its own status=failed row carrying the
   // build error, and the sweep moves on to the next group.
   auto fail_group = [&](const std::string& error) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      fail_cell(results[i], cells[i], first_global_index + i,
+    for (; emitted < cells.size(); ++emitted) {
+      CellResult row;
+      fail_cell(row, cells[emitted], first_global_index + emitted,
                 CellStatus::kFailed, error, elapsed_ms(build_started));
-      if (env.on_cell) env.on_cell(results[i]);
+      emit(std::move(row));
     }
   };
   auto run_cells = [&](GroupContext& context) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      CellResult& out = results[i];
-      execute_cell(cells[i], context, exact_baseline_max_n,
-                   first_global_index + i, env, out);
+    for (; emitted < cells.size(); ++emitted) {
+      CellResult out;
+      execute_cell(cells[emitted], context, exact_baseline_max_n,
+                   first_global_index + emitted, env, out);
       if (!keep_solutions) out.solution = VertexSet();
-      if (env.on_cell) env.on_cell(out);
+      emit(std::move(out));
     }
   };
   try {
     if (env.faults != nullptr &&
-        env.faults->build_fails(env.group_index, env.attempt))
+        env.faults->build_fails(env.group_index, 0))
       throw std::runtime_error("injected fault: build@g" +
                                std::to_string(env.group_index));
     if (is_file_scenario(head.scenario)) {
@@ -847,146 +836,6 @@ void run_group(const std::vector<CellSpec>& cells,
     fail_group("topology build failed: non-standard exception");
   }
 }
-
-#if PG_HAS_FORK_ISOLATION
-
-std::string describe_child_exit(int status) {
-  if (WIFSIGNALED(status))
-    return "worker process killed by signal " +
-           std::to_string(WTERMSIG(status));
-  if (WIFEXITED(status))
-    return "worker process exited with status " +
-           std::to_string(WEXITSTATUS(status));
-  return "worker process ended abnormally";
-}
-
-/// Runs one group in a forked child, which streams each finished row up a
-/// pipe in the journal's checksummed record format.  A crash (abort,
-/// segfault, OOM-kill) therefore costs only the cells the child had not
-/// yet written: the intact prefix is kept, the remainder becomes
-/// status=failed rows, and `opts.retries` grants crashed groups fresh
-/// attempts with exponential backoff.  Returns false when fork/pipe are
-/// unavailable so the caller can degrade to in-process execution.
-bool run_group_isolated(const std::vector<CellSpec>& cells,
-                        std::size_t first_global_index,
-                        VertexId exact_baseline_max_n, int congest_threads,
-                        const ExecOptions& opts, const FaultPlan* faults,
-                        std::uint64_t group_index, CellResult* results) {
-  const int attempts = 1 + std::max(0, opts.retries);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && opts.retry_backoff_ms > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts.retry_backoff_ms * static_cast<double>(1 << (attempt - 1))));
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return false;
-    }
-    if (pid == 0) {
-      // Child: run the group with a watchdog of its own (monitor threads
-      // do not survive fork), stream rows as they finish, and _exit
-      // without unwinding any parent state.
-      ::close(fds[0]);
-      {
-        std::unique_ptr<Watchdog> watchdog;
-        if (opts.cell_timeout_ms > 0.0 || opts.budget_ms)
-          watchdog = std::make_unique<Watchdog>(1);
-        GroupEnv env;
-        env.opts = &opts;
-        env.faults = faults;
-        env.watchdog = watchdog.get();
-        env.worker = 0;
-        env.attempt = attempt;
-        env.group_index = group_index;
-        env.on_cell = [&fds](const CellResult& row) {
-          std::string line = encode_cell_record(row);
-          line += '\n';
-          const char* data = line.data();
-          std::size_t left = line.size();
-          while (left > 0) {
-            const ssize_t wrote = ::write(fds[1], data, left);
-            if (wrote < 0) {
-              if (errno == EINTR) continue;
-              ::_exit(3);  // parent gone; nothing sensible left to do
-            }
-            data += static_cast<std::size_t>(wrote);
-            left -= static_cast<std::size_t>(wrote);
-          }
-        };
-        std::vector<CellResult> rows(cells.size());
-        // The child builds its own simulators (and therefore its own
-        // worker pools — WorkerPool is not fork-safe, and none existed
-        // pre-fork anyway because the parent never touches a Network in
-        // isolate mode).
-        run_group(cells, first_global_index, exact_baseline_max_n,
-                  /*pool=*/nullptr, /*power_threads=*/1, congest_threads,
-                  /*keep_solutions=*/false, env, rows.data());
-      }
-      ::_exit(0);
-    }
-    // Parent: drain the pipe to EOF (the child's exit closes its end),
-    // then reap the child.
-    ::close(fds[1]);
-    std::string data;
-    char buffer[4096];
-    for (;;) {
-      const ssize_t got = ::read(fds[0], buffer, sizeof(buffer));
-      if (got > 0) {
-        data.append(buffer, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got < 0 && errno == EINTR) continue;
-      break;
-    }
-    ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-
-    // Decode the intact row prefix.  A crash can tear at most the final
-    // line, which the record checksum rejects exactly like a torn
-    // journal tail.
-    std::vector<CellResult> rows;
-    std::size_t pos = 0;
-    while (pos < data.size() && rows.size() < cells.size()) {
-      const std::size_t nl = data.find('\n', pos);
-      if (nl == std::string::npos) break;
-      CellResult row;
-      if (!decode_cell_record(std::string_view(data).substr(pos, nl - pos),
-                              row))
-        break;
-      if (row.cell_index != first_global_index + rows.size()) break;
-      rows.push_back(std::move(row));
-      pos = nl + 1;
-    }
-
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
-                       rows.size() == cells.size();
-    if (!clean && attempt + 1 < attempts) continue;  // crashed: retry
-    if (clean) {
-      for (std::size_t i = 0; i < cells.size(); ++i)
-        results[i] = std::move(rows[i]);
-      return true;
-    }
-    // Out of attempts: keep what the child managed, fail the rest.
-    const std::string why = describe_child_exit(status) + " (" +
-                            std::to_string(attempts) + " attempt(s))";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i < rows.size())
-        results[i] = std::move(rows[i]);
-      else
-        fail_cell(results[i], cells[i], first_global_index + i,
-                  CellStatus::kFailed, why, 0.0);
-    }
-    return true;
-  }
-  return false;  // unreachable: the loop always returns on its last pass
-}
-
-#endif  // PG_HAS_FORK_ISOLATION
 
 }  // namespace
 
@@ -1089,12 +938,12 @@ std::vector<CellSpec> topology_group_cells(const SweepSpec& spec,
 
 CellResult run_cell(const CellSpec& cell, VertexId exact_baseline_max_n,
                     int congest_threads) {
-  std::vector<CellResult> results(1);
+  CellResult result;
   const std::vector<CellSpec> cells = {cell};
   run_group(cells, 0, exact_baseline_max_n, /*pool=*/nullptr,
             /*power_threads=*/0, congest_threads, /*keep_solutions=*/true,
-            GroupEnv{}, results.data());
-  return std::move(results[0]);
+            GroupEnv{}, [&](CellResult&& row) { result = std::move(row); });
+  return result;
 }
 
 CellResult run_cell_on(GraphView base, const CellSpec& cell,
@@ -1149,27 +998,6 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
   SweepSummary summary;
   summary.total_cells = per_group * num_groups;
 
-  auto count_row = [&summary](const CellResult& row) {
-    ++summary.cells;
-    switch (row.status) {
-      case CellStatus::kOk:
-        if (row.feasible)
-          ++summary.ok;
-        else
-          ++summary.infeasible;
-        break;
-      case CellStatus::kTimeout:
-        ++summary.timeout;
-        break;
-      case CellStatus::kUnverified:
-        ++summary.unverified;
-        break;
-      default:
-        ++summary.failed;
-        break;
-    }
-  };
-
   // ------------------------------------------------- journal + resume ---
   // Rows leave the ring in ascending cell_index order, so the journal is
   // always a strict prefix of this shard's cell sequence: resume replays
@@ -1208,7 +1036,7 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
         path, spec, summary.total_cells, resume_bytes, journal_mode);
     summary.replayed = replayed.size();
     for (const CellResult& row : replayed) {
-      count_row(row);
+      summary.count(row);
       if (sink) sink(row);
     }
   }
@@ -1251,6 +1079,25 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
       remaining > 0)
     watchdog = std::make_unique<Watchdog>(workers);
 
+  // Journal first (one fsync per call), then the sink, so a crash never
+  // leaves report rows ahead of the journal.
+  auto write_out = [&](std::span<const CellResult> rows) {
+    if (stop_claiming.load(std::memory_order_relaxed)) return;
+    try {
+      if (journal) {
+        for (const CellResult& row : rows) journal->append(row);
+        journal->commit();
+      }
+      if (sink)
+        for (const CellResult& row : rows) sink(row);
+    } catch (...) {
+      output_error = std::current_exception();
+      std::lock_guard<std::mutex> flag_lock(emit_mutex);
+      stop_claiming.store(true, std::memory_order_relaxed);
+      emit_advanced.notify_all();
+    }
+  };
+
   auto finish_group = [&](std::size_t rank, std::vector<CellResult>&& rows) {
     std::unique_lock<std::mutex> lock(emit_mutex);
     Slot& mine = slots[rank % slots.size()];
@@ -1263,66 +1110,87 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
       std::vector<CellResult> batch = std::move(slot.rows);
       slot.rows = std::vector<CellResult>();
       slot.done = false;
-      for (const CellResult& row : batch) count_row(row);
+      for (const CellResult& row : batch) summary.count(row);
       ++next_emit;
       emit_advanced.notify_all();
       // Row formatting/file I/O happens outside the lock so other workers
       // keep finishing groups; order is safe because `emitting` admits
-      // one drainer at a time and batches leave in next_emit order.  The
-      // journal commits (fsync) before the sink sees the batch, so a
-      // crash never leaves report rows ahead of the journal.
+      // one drainer at a time and batches leave in next_emit order.
       lock.unlock();
-      if (!stop_claiming.load(std::memory_order_relaxed)) {
-        try {
-          if (journal) {
-            for (const CellResult& row : batch) journal->append(row);
-            journal->commit();
-          }
-          if (sink)
-            for (const CellResult& row : batch) sink(row);
-        } catch (...) {
-          output_error = std::current_exception();
-          std::lock_guard<std::mutex> flag_lock(emit_mutex);
-          stop_claiming.store(true, std::memory_order_relaxed);
-          emit_advanced.notify_all();
-        }
-      }
+      write_out(batch);
       lock.lock();
     }
     emitting = false;
   };
 
+  // Same budgeting rule as power_threads: a multi-worker sweep is
+  // already machine-saturating, so each simulator stays serial; the knob
+  // bites in the threads == 1 regime (one huge CONGEST cell).
+  const int congest_threads = workers > 1 ? 1 : spec.congest_threads;
+
   auto run_rank = [&](std::size_t rank, std::size_t worker_id,
                       NetworkPool& pool, std::vector<CellSpec>& group) {
     const std::size_t g = group_of_rank(rank);
     stamp_group(spec, g, group);
-    std::vector<CellResult> rows(per_group);
-    bool done = false;
-    // Same budgeting rule as power_threads: a multi-worker sweep is
-    // already machine-saturating, so each simulator stays serial; the
-    // knob bites in the threads == 1 regime (one huge CONGEST cell).
-    const int congest_threads = workers > 1 ? 1 : spec.congest_threads;
-#if PG_HAS_FORK_ISOLATION
-    if (opts.isolate)
-      done = run_group_isolated(group, g * per_group,
-                                spec.exact_baseline_max_n, congest_threads,
-                                opts, faults, g, rows.data());
-#endif
-    if (!done) {
-      GroupEnv env;
-      env.opts = &opts;
-      env.faults = faults;
-      env.watchdog = watchdog.get();
-      env.worker = worker_id;
-      env.group_index = g;
-      run_group(group, g * per_group, spec.exact_baseline_max_n, &pool,
-                workers > 1 ? 1 : 0, congest_threads,
-                /*keep_solutions=*/false, env, rows.data());
-    }
-    finish_group(rank, std::move(rows));
+    // One worker with no journal to commit first hands each row on the
+    // moment it is final, so a crash (an isolated child's abort) keeps
+    // every row before it; otherwise rows wait for their whole group.
+    const bool per_cell = workers == 1 && !journal;
+    std::vector<CellResult> rows;
+    const auto emit = [&](CellResult&& row) {
+      if (!per_cell) {
+        rows.push_back(std::move(row));
+        return;
+      }
+      summary.count(row);
+      write_out({&row, 1});
+    };
+    GroupEnv env;
+    env.opts = &opts;
+    env.faults = faults;
+    env.watchdog = watchdog.get();
+    env.worker = worker_id;
+    env.group_index = g;
+    run_group(group, g * per_group, spec.exact_baseline_max_n, &pool,
+              workers > 1 ? 1 : 0, congest_threads, /*keep_solutions=*/false,
+              env, emit);
+    if (!per_cell) finish_group(rank, std::move(rows));
   };
 
-  if (workers <= 1) {
+  if (opts.isolate && spawn_supported()) {
+    // Up to `workers` forked children at a time, each running one group
+    // without a journal (this process journals their rows).  All are
+    // forked from this one thread: a child gets only the forking thread,
+    // and a lock another thread held at that moment would stay locked.
+    std::vector<CellSpec> group = pattern;
+    for (std::size_t rank = start_rank; rank < my_groups; rank += workers) {
+      if (stop_claiming.load(std::memory_order_relaxed)) break;
+      std::vector<ChildJob> jobs(std::min(workers, my_groups - rank));
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].spec = spec;
+        jobs[i].spec.shard_groups = {group_of_rank(rank + i)};
+        jobs[i].spec.congest_threads = congest_threads;
+        jobs[i].exec = opts;
+        jobs[i].exec.isolate = false;
+        jobs[i].exec.journal_dir.clear();
+      }
+      run_children(jobs, opts.retries, nullptr);
+      // A crash costs only the cells the child never sent; they become
+      // failed rows naming the cause.
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::size_t g = group_of_rank(rank + i);
+        stamp_group(spec, g, group);
+        const std::string why = jobs[i].error + " (" +
+                                std::to_string(jobs[i].attempts) +
+                                " attempt(s))";
+        std::vector<CellResult> rows = std::move(jobs[i].rows);
+        for (std::size_t j = rows.size(); j < per_group; ++j)
+          fail_cell(rows.emplace_back(), group[j], g * per_group + j,
+                    CellStatus::kFailed, why, 0.0);
+        finish_group(rank + i, std::move(rows));
+      }
+    }
+  } else if (workers <= 1) {
     // Single worker: groups run and emit strictly in order, no buffering.
     NetworkPool pool;
     std::vector<CellSpec> group = pattern;
@@ -1366,6 +1234,27 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
 
   summary.wall_ms_total = elapsed_ms(started);
   return summary;
+}
+
+void SweepSummary::count(const CellResult& row) {
+  ++cells;
+  switch (row.status) {
+    case CellStatus::kOk:
+      if (row.feasible)
+        ++ok;
+      else
+        ++infeasible;
+      break;
+    case CellStatus::kTimeout:
+      ++timeout;
+      break;
+    case CellStatus::kUnverified:
+      ++unverified;
+      break;
+    default:
+      ++failed;
+      break;
+  }
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {

@@ -195,6 +195,9 @@ struct SweepSummary {
   std::size_t total_cells = 0;  // full-grid cell count (all shards)
   double wall_ms_total = 0.0;
 
+  /// Tallies one row into cells and its status counter.
+  void count(const CellResult& row);
+
   /// Every row ran ok, feasible and (under --certify) certified — the
   /// condition for a zero exit status.
   bool clean() const {
@@ -231,13 +234,14 @@ struct ExecOptions {
   std::function<double(const CellSpec&)> budget_ms;
 
   /// Fork each topology group into a child process, so a crash (abort,
-  /// segfault, OOM-kill) costs one group — its cells become status=failed
-  /// rows — instead of the whole sweep.  POSIX only; ignored elsewhere.
+  /// segfault, OOM-kill) costs one group — the cells its child never sent
+  /// become status=failed rows — instead of the whole sweep.  POSIX only;
+  /// ignored elsewhere.
   bool isolate = false;
-  /// Extra attempts for a group whose isolated child crashed, with
-  /// exponential backoff between attempts.  Only meaningful with isolate.
+  /// Extra attempts for a forked child that died (an isolated group, or a
+  /// --spawn shard), after a fixed backoff.  Meaningful with isolate or
+  /// under run_spawned_sweep.
   int retries = 0;
-  double retry_backoff_ms = 50.0;
 
   /// Scripted faults for tests/CI; when null the $PG_FAULT_PLAN
   /// environment hook applies (see scenario/fault.hpp).  Plans may also
@@ -305,7 +309,10 @@ CellResult run_cell_on(graph::GraphView base, const CellSpec& cell,
 /// Runs this shard of the grid on `spec.threads` workers, streaming each
 /// finished row to `sink` in ascending cell_index order (a reorder buffer
 /// holds at most the out-of-order window, never the whole sweep).  Rows
-/// arrive with their solution bitsets already dropped.
+/// arrive with their solution bitsets already dropped: one at a time as
+/// cells finish when one worker runs without a journal (so a process
+/// crash keeps every earlier row), else a group at a time after its
+/// journal commit.
 ///
 /// Failure containment: a worker failure of any kind — algorithm or
 /// generator exception, PG_REQUIRE violation, watchdog expiry, crashed

@@ -1,33 +1,34 @@
 #include "scenario/spawn.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
-#define PG_HAS_SPAWN 1
-#include <fcntl.h>
+#define PG_HAS_FORK 1
 #include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <cerrno>
-#include <csignal>
 #else
-#define PG_HAS_SPAWN 0
+#define PG_HAS_FORK 0
 #endif
 
+#include "scenario/fault.hpp"
+#include "scenario/journal.hpp"
 #include "scenario/report.hpp"
 #include "util/check.hpp"
 #include "util/rss.hpp"
 
 namespace pg::scenario {
 
-bool spawn_supported() { return PG_HAS_SPAWN != 0; }
+bool spawn_supported() { return PG_HAS_FORK != 0; }
 
 SpawnPlan plan_spawn(const SweepSpec& spec, int children,
                      const std::function<double(const CellSpec&)>& budget_ms) {
@@ -78,210 +79,220 @@ SpawnPlan plan_spawn(const SweepSpec& spec, int children,
   return plan;
 }
 
-#if PG_HAS_SPAWN
+#if PG_HAS_FORK
 
 namespace {
 
-/// Wire lines a child sends up its progress pipe:
-///   p <done> <total>                              progress tick
-///   s <cells> <ok> <inf> <fail> <to> <unver> <replay> <rss_mb> <wall_ms>
-///                                                 summary
-///   e <message>                                   fatal error text
-/// At most ~50 `p` lines per child, so a slow parent never backs the
-/// pipe up past its buffer and children never block on reporting.
-void pipe_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
+/// Pause before each retry round, so a transient cause (memory pressure,
+/// a busy file) has a moment to clear.
+constexpr std::chrono::milliseconds kRetryBackoff{50};
+
+/// Wire lines a child sends up its pipe:
+///   C …                                 one row (encode_cell_record)
+///   s <replayed> <rss_mb> <wall_ms>     closing summary
+///   e <message>                         closing error
+void send_line(int fd, std::string line) {
+  line.push_back('\n');
   std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t wrote =
-        ::write(fd, framed.data() + off, framed.size() - off);
+  while (off < line.size()) {
+    const ssize_t wrote = ::write(fd, line.data() + off, line.size() - off);
     if (wrote <= 0) {
       if (errno == EINTR) continue;
-      return;  // parent is gone; keep computing, the journal has the rows
+      return;  // the parent is gone; it will never read the row
     }
     off += static_cast<std::size_t>(wrote);
   }
 }
 
-std::string shard_file_stem(int index, int count) {
-  return "shard-" + std::to_string(index) + "-of-" + std::to_string(count);
-}
-
-/// The forked shard worker: runs its slice of the grid exactly like
-/// `sweep --shard i/k` would, with the cost-balanced group list swapped
-/// in for the round-robin deal, then _exit()s without touching any
-/// parent-inherited stream state (files are flushed explicitly; _exit
-/// skips atexit and stdio flushing on purpose — the parent owns those
-/// buffers).
-[[noreturn]] void run_child(const SweepSpec& spec, const ExecOptions& exec,
-                            const ReportColumns& columns,
-                            const std::string& csv_file,
-                            const std::string& json_file, int pipe_fd) {
+/// The forked child: runs its slice, streams the rows, then _exit()s
+/// without touching any parent-inherited stream state (_exit skips
+/// atexit and stdio flushing on purpose — the parent owns those buffers).
+/// Exit 0: every row clean; 1: some row not; 2: the sweep threw.
+[[noreturn]] void run_child(const ChildJob& job, int attempt, int fd) {
   int code = 2;
   try {
-    std::ofstream csv(csv_file, std::ios::binary);
-    std::ofstream json(json_file, std::ios::binary);
-    if (!csv || !json)
-      throw PreconditionViolation("cannot open shard report file");
-    CsvWriter csv_writer(csv, columns);
-    JsonWriter json_writer(json, columns);
-    const std::size_t mine = shard_cell_indices(spec).size();
-    const std::size_t total = count_grid_cells(spec);
-    csv_writer.begin(spec, total);
-    json_writer.begin(spec, total);
-
-    std::size_t done = 0;
-    int last_tick = -1;
+    const FaultPlan* faults = job.exec.fault_plan != nullptr
+                                  ? job.exec.fault_plan
+                                  : FaultPlan::from_env();
+    const FaultPlan plan =
+        faults != nullptr ? faults->for_attempt(attempt) : FaultPlan();
+    ExecOptions exec = job.exec;
+    exec.fault_plan = &plan;
+    if (attempt > 0 && !exec.journal_dir.empty()) exec.resume = true;
     const SweepSummary summary = run_sweep_stream(
-        spec,
-        [&](const CellResult& row) {
-          csv_writer.row(row);
-          json_writer.row(row);
-          ++done;
-          const int tick =
-              mine ? static_cast<int>(done * 50 / mine) : 50;
-          if (tick != last_tick) {
-            last_tick = tick;
-            pipe_line(pipe_fd, "p " + std::to_string(done) + " " +
-                                   std::to_string(mine));
-          }
-        },
+        job.spec,
+        [fd](const CellResult& row) { send_line(fd, encode_cell_record(row)); },
         exec);
-    const double rss = util::peak_rss_mb();
-    json_writer.end(rss);
-    csv.flush();
-    json.flush();
-    if (!csv || !json)
-      throw PreconditionViolation("short write on shard report file");
-    csv.close();
-    json.close();
-
-    std::ostringstream s;
-    s << "s " << summary.cells << ' ' << summary.ok << ' '
-      << summary.infeasible << ' ' << summary.failed << ' '
-      << summary.timeout << ' ' << summary.unverified << ' '
-      << summary.replayed << ' ';
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.1f %.0f", rss,
-                  summary.wall_ms_total);
-    s << buffer;
-    pipe_line(pipe_fd, s.str());
+    char line[96];
+    std::snprintf(line, sizeof(line), "s %zu %.1f %.0f", summary.replayed,
+                  util::peak_rss_mb(), summary.wall_ms_total);
+    send_line(fd, line);
     code = summary.clean() ? 0 : 1;
   } catch (const std::exception& error) {
-    pipe_line(pipe_fd, std::string("e ") + error.what());
+    send_line(fd, std::string("e ") + error.what());
   } catch (...) {
-    pipe_line(pipe_fd, "e non-standard exception in shard child");
+    send_line(fd, "e non-standard exception in child");
   }
-  ::close(pipe_fd);
   ::_exit(code);
 }
 
-struct Child {
-  int index = 0;  // 1-based shard index
+/// The parent's view of one live child.
+struct Running {
+  ChildJob* job = nullptr;
   pid_t pid = -1;
-  int fd = -1;  // read end of the progress pipe; -1 once drained
+  int fd = -1;  // read end of the pipe; -1 once drained
+  std::vector<std::size_t> owed;  // the cell indices it sends, in order
   std::string buffer;
-  bool complete = false;  // exited 0/1 with a flushed report
   bool summarized = false;
-  int attempts = 0;
-  std::string last_error;
-  SweepSummary summary;
-  double rss_mb = 0.0;
+  bool refused = false;  // sent a row out of turn; the rest is ignored
+  int last_tick = -1;
 };
 
-/// Parses one child wire line into the child record; returns the text to
-/// surface on the progress stream (empty: nothing to print).
-std::string consume_line(Child& child, const std::string& line,
-                         bool progress) {
-  std::istringstream in(line);
-  std::string tag;
-  in >> tag;
-  if (tag == "p") {
-    std::uint64_t done = 0, total = 0;
-    in >> done >> total;
-    if (!progress) return "";
-    return "cells " + std::to_string(done) + "/" + std::to_string(total);
-  }
-  if (tag == "s") {
-    in >> child.summary.cells >> child.summary.ok >>
-        child.summary.infeasible >> child.summary.failed >>
-        child.summary.timeout >> child.summary.unverified >>
-        child.summary.replayed >> child.rss_mb >>
-        child.summary.wall_ms_total;
+/// Consumes one wire line from a child.
+void take_line(Running& child, std::string_view line, std::ostream* progress) {
+  ChildJob& job = *child.job;
+  const auto note = [&]() -> std::ostream& {
+    return *progress << "[" << job.label << "] ";
+  };
+  if (line.substr(0, 2) == "s ") {
+    std::istringstream in{std::string(line.substr(2))};
+    in >> job.replayed >> job.rss_mb >> job.wall_ms;
     child.summarized = !in.fail();
-    if (!progress) return "";
-    std::ostringstream text;
-    text << "done: " << child.summary.cells << " cells";
-    if (child.summary.replayed > 0)
-      text << " (" << child.summary.replayed << " replayed)";
+    if (progress == nullptr) return;
     char rss[32];
-    std::snprintf(rss, sizeof(rss), "%.1f", child.rss_mb);
-    text << ", peak rss " << rss << " MB";
-    return text.str();
-  }
-  if (tag == "e") {
-    child.last_error = line.substr(2);
-    return "error: " + child.last_error;
-  }
-  return "";
-}
-
-/// Reads every live progress pipe until EOF, surfacing lines as they
-/// arrive, then reaps the children.  Returns after all pids are waited.
-void stream_and_reap(std::vector<Child*>& running, bool progress,
-                     int shard_count, std::ostream& err) {
-  std::vector<pollfd> fds;
-  for (;;) {
-    fds.clear();
-    for (Child* child : running)
-      if (child->fd >= 0) fds.push_back({child->fd, POLLIN, 0});
-    if (fds.empty()) break;
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
+    std::snprintf(rss, sizeof(rss), "%.1f", job.rss_mb);
+    note() << "done: " << job.rows.size() << " cells";
+    if (job.replayed > 0) *progress << " (" << job.replayed << " replayed)";
+    *progress << ", peak rss " << rss << " MB\n";
+  } else if (line.substr(0, 2) == "e ") {
+    job.error = line.substr(2);
+    if (progress != nullptr) note() << "error: " << job.error << "\n";
+  } else if (!child.refused) {
+    // Only the next cell this child owes is accepted: a torn, corrupt
+    // or out-of-order record ends the child's stream.
+    CellResult row;
+    if (job.rows.size() == child.owed.size() ||
+        !decode_cell_record(line, row) ||
+        row.cell_index != child.owed[job.rows.size()]) {
+      child.refused = true;
+      job.error = "worker process sent a malformed or out-of-order row";
+      return;
     }
-    std::size_t at = 0;
-    for (Child* child : running) {
-      if (child->fd < 0) continue;
-      const pollfd& pfd = fds[at++];
-      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      char chunk[4096];
-      const ssize_t got = ::read(child->fd, chunk, sizeof(chunk));
-      if (got > 0) {
-        child->buffer.append(chunk, static_cast<std::size_t>(got));
-        std::size_t nl;
-        while ((nl = child->buffer.find('\n')) != std::string::npos) {
-          const std::string text = consume_line(
-              *child, child->buffer.substr(0, nl), progress);
-          child->buffer.erase(0, nl + 1);
-          if (!text.empty())
-            err << "[" << child->index << "/" << shard_count << "] " << text
-                << "\n";
-        }
-      } else if (got == 0 || errno != EINTR) {
-        ::close(child->fd);
-        child->fd = -1;
-      }
-    }
-  }
-  for (Child* child : running) {
-    int status = 0;
-    while (::waitpid(child->pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    child->pid = -1;
-    if (WIFEXITED(status) && WEXITSTATUS(status) <= 1) {
-      child->complete = true;
-    } else if (WIFSIGNALED(status)) {
-      child->last_error =
-          "child killed by signal " + std::to_string(WTERMSIG(status));
-    } else if (child->last_error.empty()) {
-      child->last_error = "child exited abnormally";
-    }
+    job.rows.push_back(std::move(row));
+    const std::size_t done = job.rows.size(), total = child.owed.size();
+    const int tick = total ? static_cast<int>(done * 50 / total) : 50;
+    if (progress == nullptr || tick == child.last_tick) return;
+    child.last_tick = tick;
+    note() << "cells " << done << "/" << total << "\n";
   }
 }
 
 }  // namespace
+
+void run_children(std::vector<ChildJob>& jobs, int retries,
+                  std::ostream* progress) {
+  for (int round = 0; round <= std::max(retries, 0); ++round) {
+    if (round > 0) std::this_thread::sleep_for(kRetryBackoff);
+    std::vector<Running> running;
+    for (ChildJob& job : jobs) {
+      if (job.complete) continue;
+      const int attempt = job.attempts++;
+      job.rows.clear();
+      job.error.clear();
+      int fds[2];
+      if (::pipe(fds) != 0) {
+        job.error = "cannot create a pipe for the worker process";
+        continue;
+      }
+      const pid_t pid = ::fork();
+      if (pid < 0) {
+        ::close(fds[0]);
+        ::close(fds[1]);
+        job.error = "cannot fork a worker process";
+        continue;
+      }
+      if (pid == 0) {
+        ::close(fds[0]);
+        // Drop read ends inherited from siblings so their EOFs stay crisp.
+        for (const Running& other : running) ::close(other.fd);
+        run_child(job, attempt, fds[1]);
+      }
+      ::close(fds[1]);
+      Running& child = running.emplace_back();
+      child.job = &job;
+      child.pid = pid;
+      child.fd = fds[0];
+      child.owed = shard_cell_indices(job.spec);
+      if (progress != nullptr)
+        *progress << "[" << job.label << "] pid " << pid << job.launch_note
+             << (attempt > 0 || job.exec.resume ? ", resuming" : "") << "\n";
+    }
+
+    // Read every pipe to EOF, consuming lines as they arrive.
+    std::vector<pollfd> fds;
+    for (;;) {
+      fds.clear();
+      for (const Running& child : running)
+        if (child.fd >= 0) fds.push_back({child.fd, POLLIN, 0});
+      if (fds.empty()) break;
+      if (::poll(fds.data(), fds.size(), -1) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      std::size_t at = 0;
+      for (Running& child : running) {
+        if (child.fd < 0) continue;
+        if ((fds[at++].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        char chunk[4096];
+        const ssize_t got = ::read(child.fd, chunk, sizeof(chunk));
+        if (got > 0) {
+          child.buffer.append(chunk, static_cast<std::size_t>(got));
+          std::size_t from = 0, nl;
+          while ((nl = child.buffer.find('\n', from)) != std::string::npos) {
+            take_line(child,
+                      std::string_view(child.buffer).substr(from, nl - from),
+                      progress);
+            from = nl + 1;
+          }
+          child.buffer.erase(0, from);
+        } else if (got == 0 || errno != EINTR) {
+          ::close(child.fd);
+          child.fd = -1;
+        }
+      }
+    }
+
+    for (Running& child : running) {
+      int status = 0;
+      while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      ChildJob& job = *child.job;
+      job.complete = WIFEXITED(status) && WEXITSTATUS(status) <= 1 &&
+                     child.summarized && !child.refused &&
+                     job.rows.size() == child.owed.size();
+      // Why it died: a signal names itself; otherwise the child's own
+      // error line (or the refusal above) says more than its exit code.
+      if (job.complete) continue;
+      if (WIFSIGNALED(status))
+        job.error = "worker process killed by signal " +
+                    std::to_string(WTERMSIG(status));
+      else if (job.error.empty())
+        job.error = "worker process exited with status " +
+                    std::to_string(WEXITSTATUS(status));
+      if (progress != nullptr && round < retries)
+        *progress << "[" << job.label << "] retrying (" << job.error << ")\n";
+    }
+  }
+}
+
+#else  // !PG_HAS_FORK
+
+void run_children(std::vector<ChildJob>& jobs, int, std::ostream*) {
+  for (ChildJob& job : jobs)
+    job.error = "forked children need a POSIX platform";
+}
+
+#endif
 
 int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
                       const std::optional<std::string>& csv_path,
@@ -292,7 +303,6 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
              "--spawn orchestrates its own shards; drop --shard/"
              "--shard-groups");
   const std::size_t groups = count_topology_groups(spec);
-  PG_REQUIRE(groups >= 1, "spawn needs a non-empty grid");
   const int children = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(
                                 std::max(opts.children, 1)),
@@ -302,143 +312,75 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
         << children << " child(ren)\n";
 
   const SpawnPlan plan = plan_spawn(spec, children, opts.exec.budget_ms);
-
-  // Shard reports live next to the journals when a journal directory
-  // exists (debuggable artifacts), in a private temp directory otherwise.
-  std::filesystem::path report_dir;
-  std::error_code ec;
-  if (!opts.exec.journal_dir.empty()) {
-    report_dir = opts.exec.journal_dir;
-    std::filesystem::create_directories(report_dir, ec);
-    PG_REQUIRE(!ec, "cannot create journal directory '" +
-                        report_dir.string() + "': " + ec.message());
-  } else {
-    char tmpl[] = "/tmp/pg-spawn-XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    PG_REQUIRE(made != nullptr, "cannot create spawn scratch directory");
-    report_dir = made;
+  std::vector<ChildJob> jobs(static_cast<std::size_t>(children));
+  for (std::size_t s = 0; s < jobs.size(); ++s) {
+    ChildJob& job = jobs[s];
+    job.spec = spec;
+    job.spec.shard_index = static_cast<int>(s) + 1;
+    job.spec.shard_count = children;
+    job.spec.shard_groups = plan.shards[s];
+    job.exec = opts.exec;
+    job.label = std::to_string(s + 1) + "/" + std::to_string(children);
+    job.launch_note = ", " + std::to_string(plan.shards[s].size()) +
+                      " group(s), predicted cost " +
+                      std::to_string(static_cast<long long>(plan.costs[s]));
   }
+  run_children(jobs, opts.exec.retries, opts.progress ? &err : nullptr);
 
-  std::vector<Child> shards(static_cast<std::size_t>(children));
-  auto csv_file = [&](int index) {
-    return (report_dir / (shard_file_stem(index, children) + ".csv"))
-        .string();
-  };
-  auto json_file = [&](int index) {
-    return (report_dir / (shard_file_stem(index, children) + ".json"))
-        .string();
-  };
-
-  auto spawn_one = [&](Child& child, bool resume) -> bool {
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return false;
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      // Drop read ends inherited from siblings so their EOFs stay crisp.
-      for (const Child& other : shards)
-        if (other.fd >= 0) ::close(other.fd);
-      SweepSpec child_spec = spec;
-      child_spec.shard_index = child.index;
-      child_spec.shard_count = children;
-      child_spec.shard_groups =
-          plan.shards[static_cast<std::size_t>(child.index - 1)];
-      ExecOptions child_exec = opts.exec;
-      if (resume && !child_exec.journal_dir.empty())
-        child_exec.resume = true;
-      run_child(child_spec, child_exec, opts.columns, csv_file(child.index),
-                json_file(child.index), fds[1]);
-    }
-    ::close(fds[1]);
-    child.pid = pid;
-    child.fd = fds[0];
-    child.buffer.clear();
-    child.summarized = false;
-    ++child.attempts;
-    if (opts.progress)
-      err << "[" << child.index << "/" << children << "] pid " << pid
-          << ", " << plan.shards[static_cast<std::size_t>(child.index - 1)]
-                         .size()
-          << " group(s), predicted cost "
-          << static_cast<long long>(
-                 plan.costs[static_cast<std::size_t>(child.index - 1)])
-          << (resume ? ", resuming" : "") << "\n";
-    return true;
-  };
-
-  for (int i = 0; i < children; ++i) shards[static_cast<std::size_t>(i)]
-      .index = i + 1;
-
-  // Lockstep attempt rounds: launch every not-yet-complete child, stream
-  // until the round drains, retry the casualties (resuming from their
-  // journals when there are any), give up after opts.retries extra
-  // rounds.
-  for (int round = 0; round <= std::max(opts.retries, 0); ++round) {
-    std::vector<Child*> running;
-    for (Child& child : shards) {
-      if (child.complete) continue;
-      if (spawn_one(child, /*resume=*/round > 0 || opts.exec.resume))
-        running.push_back(&child);
-      else
-        child.last_error = "fork failed";
-    }
-    if (running.empty()) break;
-    stream_and_reap(running, opts.progress, children, err);
-    bool all_complete = true;
-    for (const Child& child : shards) all_complete &= child.complete;
-    if (all_complete) break;
-    if (round < std::max(opts.retries, 0) && opts.progress)
-      for (const Child& child : shards)
-        if (!child.complete)
-          err << "[" << child.index << "/" << children << "] retrying ("
-              << child.last_error << ")\n";
-  }
-
-  // ------------------------------------------------------------ merge ---
-  std::vector<std::string> csv_reports, json_reports;
+  // ----------------------------------------------------------- report ---
+  const std::size_t grid = count_grid_cells(spec);
+  std::vector<const CellResult*> by_index(grid, nullptr);
   std::size_t dead = 0;
-  for (const Child& child : shards) {
-    if (!child.complete) {
+  SweepSummary total;
+  double max_rss = 0.0;
+  for (const ChildJob& job : jobs) {
+    if (!job.complete) {
       ++dead;
-      err << "spawn: shard " << child.index << "/" << children
-          << " did not complete"
-          << (child.last_error.empty() ? "" : " (" + child.last_error + ")")
-          << "\n";
+      err << "spawn: shard " << job.label << " did not complete ("
+          << job.error << ")\n";
       continue;
     }
-    auto slurp = [](const std::string& path) {
-      std::ifstream file(path, std::ios::binary);
-      std::ostringstream text;
-      text << file.rdbuf();
-      PG_REQUIRE(file.good() || file.eof(),
-                 "cannot read shard report '" + path + "'");
-      return text.str();
-    };
-    csv_reports.push_back(slurp(csv_file(child.index)));
-    json_reports.push_back(slurp(json_file(child.index)));
+    for (const CellResult& row : job.rows) {
+      by_index[row.cell_index] = &row;
+      total.count(row);
+    }
+    total.replayed += job.replayed;
+    total.wall_ms_total = std::max(total.wall_ms_total, job.wall_ms);
+    max_rss = std::max(max_rss, job.rss_mb);
   }
   if (dead > 0 && !opts.allow_partial) {
     err << "spawn: " << dead << " shard(s) incomplete after "
-        << (1 + std::max(opts.retries, 0))
+        << (1 + std::max(opts.exec.retries, 0))
         << " attempt(s); re-run with --resume, or pass --allow-partial to "
            "merge with status=missing rows\n";
     return 1;
   }
-  if (csv_reports.empty()) {
-    // --allow-partial with every shard dead: there is no stamp to build
-    // even a placeholder-only report around.
+  if (dead == jobs.size()) {
+    // --allow-partial with every shard dead: a report of nothing but
+    // placeholders would only hide the failure.
     err << "spawn: no shard completed; nothing to merge\n";
     return 1;
   }
 
+  // One report over the unsharded spec, in grid order; a dead shard's
+  // cells become status=missing placeholders.
+  std::ostringstream csv_text, json_text;
   const bool want_csv = csv_path.has_value() || !json_path.has_value();
-  auto write_target = [&](const std::string& path,
-                          const std::string& bytes) {
+  CsvWriter csv(csv_text, opts.columns);
+  JsonWriter json(json_text, opts.columns);
+  if (want_csv) csv.begin(spec, grid);
+  if (json_path) json.begin(spec, grid);
+  for (std::size_t t = 0; t < grid; ++t) {
+    const CellResult row =
+        by_index[t] != nullptr ? *by_index[t] : missing_cell(t);
+    if (want_csv) csv.row(row);
+    if (json_path) json.row(row);
+  }
+  // The (timing-mode) peak-RSS block names one process's peak, so only a
+  // single child's report carries it.
+  if (json_path) json.end(children == 1 ? max_rss : -1.0);
+
+  auto write_target = [&](const std::string& path, const std::string& bytes) {
     if (path == "-") {
       out << bytes;
       return;
@@ -448,39 +390,9 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
                "cannot open output file '" + path + "'");
     file << bytes;
   };
-  // A single child writes an unstamped (single-process-shaped) report —
-  // exactly the final artifact, nothing to merge.  k >= 2 children write
-  // shard-stamped reports that merge back byte-identically.
-  if (want_csv)
-    write_target(csv_path.value_or("-"),
-                 children == 1 ? csv_reports.front()
-                               : merge_csv(csv_reports, opts.allow_partial));
-  if (json_path)
-    write_target(*json_path,
-                 children == 1
-                     ? json_reports.front()
-                     : merge_json(json_reports, opts.allow_partial));
+  if (want_csv) write_target(csv_path.value_or("-"), csv_text.str());
+  if (json_path) write_target(*json_path, json_text.str());
 
-  // Scratch reports are orchestrator-internal; journal-dir reports stay.
-  if (opts.exec.journal_dir.empty())
-    std::filesystem::remove_all(report_dir, ec);
-
-  SweepSummary total;
-  double max_rss = 0.0;
-  for (const Child& child : shards) {
-    if (!child.summarized) continue;
-    total.cells += child.summary.cells;
-    total.ok += child.summary.ok;
-    total.infeasible += child.summary.infeasible;
-    total.failed += child.summary.failed;
-    total.timeout += child.summary.timeout;
-    total.unverified += child.summary.unverified;
-    total.replayed += child.summary.replayed;
-    total.wall_ms_total =
-        std::max(total.wall_ms_total, child.summary.wall_ms_total);
-    max_rss = std::max(max_rss, child.rss_mb);
-  }
-  const std::size_t grid = count_grid_cells(spec);
   const std::size_t missing = grid - std::min(grid, total.cells);
   char wall[32], rss[32];
   std::snprintf(wall, sizeof(wall), "%.0f", total.wall_ms_total);
@@ -495,17 +407,5 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
   err << ", " << wall << " ms, peak child rss " << rss << " MB\n";
   return total.clean() && missing == 0 ? 0 : 1;
 }
-
-#else  // !PG_HAS_SPAWN
-
-int run_spawned_sweep(const SweepSpec&, const SpawnOptions&,
-                      const std::optional<std::string>&,
-                      const std::optional<std::string>&, std::ostream&,
-                      std::ostream& err) {
-  err << "spawn: multi-process sweeps need a POSIX platform\n";
-  return 1;
-}
-
-#endif
 
 }  // namespace pg::scenario

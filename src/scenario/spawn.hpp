@@ -1,17 +1,23 @@
-// Self-driving multi-process sweeps: `sweep --spawn k` forks k shard
-// children, balances topology groups across them by predicted cell cost,
-// streams their progress, and merges the per-shard reports back into the
-// byte-identical single-process output.
+// Forked sweep children: one process primitive behind `sweep --spawn k`
+// and `sweep --isolate`.
 //
-// Each child is a forked worker that runs `run_sweep_stream` over an
-// explicit, cost-balanced group assignment (SweepSpec::shard_groups) and
-// writes an ordinary shard report — the same artifact `sweep --shard i/k`
-// produces — plus, when journaling is on, the same per-shard journal a
-// manual shard would keep.  The orchestrator is therefore a pure
-// composition of existing invariants: any partition of the groups merges
-// back into the same bytes, a killed child's journal resumes on its next
-// attempt, and `--allow-partial` turns shards that stayed dead into
-// status=missing rows instead of sinking the sweep.
+// `run_children` forks one child per job.  A child runs
+// `run_sweep_stream` over its own groups (SweepSpec::shard_groups) and
+// writes every row up a pipe as a journal record (encode_cell_record),
+// then one closing summary or error line.  The parent polls every pipe,
+// keeps only the next record each child owes, reaps the children, and
+// relaunches the dead ones in attempt rounds up to ExecOptions::retries.
+// A retry re-streams from the child's first cell: with a journal that is
+// a resume, without one a re-run.  `--isolate` runs each topology group
+// as a one-group job; `--spawn k` runs k cost-balanced shards.
+//
+// The spawn orchestrator writes the final report itself, once, in
+// cell_index order, from the rows its children sent — so the output is
+// byte-identical to the single-process sweep at any k.  With journaling
+// on, each child keeps the same per-shard journal a manual `--shard`
+// would, so a killed child's journal resumes on its next attempt (or a
+// re-run with --resume); `--allow-partial` turns shards that stayed dead
+// into status=missing rows instead of sinking the sweep.
 //
 // The partition is deterministic (longest-processing-time over predicted
 // group costs, ties by group index), so re-running the same command —
@@ -20,7 +26,7 @@
 // restarts.
 //
 // Fork without exec: children re-enter the runner in-process, so the
-// orchestrator works from any host binary (the CLI, the test harness)
+// primitive works from any host binary (the CLI, the test harness)
 // without knowing its own executable path.  POSIX only; `spawn_supported`
 // says whether this platform can.
 #pragma once
@@ -60,31 +66,59 @@ struct SpawnOptions {
   /// Requested child count (>= 1); clamped to the number of topology
   /// groups, so small grids simply spawn fewer workers.
   int children = 2;
-  /// Extra attempts for a child that died abnormally (signal, _exit != 0
-  /// without a complete report).  With a journal, each retry resumes from
-  /// the child's journal; without one it re-runs the child's whole slice
-  /// (byte-identical either way).
-  int retries = 0;
-  /// Merge with status=missing placeholders instead of failing when a
-  /// child stayed dead after all retries.
+  /// Write status=missing placeholders instead of failing when a child
+  /// stayed dead after all retries.
   bool allow_partial = false;
   /// Stream `[i/k]` child progress lines to the diagnostic stream.
   bool progress = false;
-  /// The report's opt-in column groups (see report_columns), forwarded
-  /// to every child's writers so the shard reports merge.
+  /// The report's opt-in column groups (see report_columns).
   ReportColumns columns;
-  /// Forwarded to every child's ExecOptions (journal_dir/resume give each
-  /// child its own journal file inside the shared directory).
+  /// Forwarded to every child (journal_dir/resume give each child its
+  /// own journal file inside the shared directory).  `exec.retries` is
+  /// the number of extra attempt rounds for children that died: with a
+  /// journal each retry resumes from it, without one it re-runs the
+  /// child's whole slice (byte-identical either way).
   ExecOptions exec;
 };
 
-/// True when this platform can fork shard children (POSIX).
+/// True when this platform can fork children (POSIX).
 bool spawn_supported();
 
+/// One forked child's share of a sweep, and what came back from it.
+struct ChildJob {
+  /// The child's slice (its shard_groups) and how it runs it — under
+  /// isolate, each of its groups in a grandchild.  A null fault_plan
+  /// means $PG_FAULT_PLAN.
+  SweepSpec spec;
+  ExecOptions exec;
+  /// Names the child in `[label] ...` diagnostic lines.
+  std::string label;
+  /// Appended to the progress launch line after the pid.
+  std::string launch_note;
+
+  // Filled by run_children.
+  std::vector<CellResult> rows;  // the last attempt's rows, in shard order
+  bool complete = false;  // exited 0/1 after sending every row and summary
+  int attempts = 0;
+  std::string error;  // why the last attempt died
+  std::size_t replayed = 0;  // journal rows the child replayed
+  double rss_mb = 0.0;
+  double wall_ms = 0.0;
+};
+
+/// Forks one child per job, collects its rows, and relaunches the
+/// children that died — killed, exited abnormally, or short of rows — in
+/// attempt rounds after a fixed backoff, at most `retries` extra rounds.
+/// Attempt a's child sees the fault plan `for_attempt(a)`.  A non-null
+/// `progress` gets `[label] …` lines: launches, `cells done/total` ticks,
+/// summaries, error lines and retries.
+void run_children(std::vector<ChildJob>& jobs, int retries,
+                  std::ostream* progress);
+
 /// Runs the sweep as a fleet of forked shard children and writes the
-/// merged report(s).  `csv_path`/`json_path` follow the CLI convention
-/// (nullopt = not requested, "-" = `out`).  Child progress and the final
-/// summary line go to `err`.  Returns the CLI exit code: 0 when every
+/// report(s) from their rows.  `csv_path`/`json_path` follow the CLI
+/// convention (nullopt = not requested, "-" = `out`); child progress and
+/// the summary line go to `err`.  Returns the CLI exit code: 0 when every
 /// cell ran ok and feasible, 1 otherwise (failed/timeout/infeasible/
 /// missing cells, or a child that stayed dead without --allow-partial).
 int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,

@@ -646,7 +646,6 @@ TEST(Isolation, CrashCostsOneGroupAndRetryRecoversTransientCrashes) {
     ExecOptions opts;
     opts.isolate = true;
     opts.retries = 2;
-    opts.retry_backoff_ms = 1.0;
     opts.fault_plan = &plan;
     const SweepRun run = sweep_csv(spec, opts);
     EXPECT_EQ(run.summary.failed, 0u);

@@ -6,6 +6,7 @@
 // --resume replays the survivors and recovers the rest byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -217,7 +218,7 @@ TEST(Spawn, ResumeRecoversACrashedShardByteIdentically) {
   const FaultPlan plan = FaultPlan::parse(abort_plan_for_group(3));
   SpawnOptions crashing;
   crashing.children = 2;
-  crashing.retries = 0;
+  crashing.exec.retries = 0;
   crashing.exec.journal_dir = dir.str();
   crashing.exec.fault_plan = &plan;
   std::ostringstream out1, err1;
@@ -248,7 +249,7 @@ TEST(Spawn, RetryRoundRelaunchesTheCasualty) {
   const FaultPlan plan = FaultPlan::parse(abort_plan_for_group(1));
   SpawnOptions opts;
   opts.children = 2;
-  opts.retries = 1;
+  opts.exec.retries = 1;
   opts.progress = true;
   opts.exec.fault_plan = &plan;
   TempDir dir;
@@ -258,6 +259,86 @@ TEST(Spawn, RetryRoundRelaunchesTheCasualty) {
             1);
   EXPECT_NE(err.str().find("retrying"), std::string::npos);
   EXPECT_NE(err.str().find("2 attempt(s)"), std::string::npos);
+}
+
+TEST(Spawn, RetryRecoversATransientCrash) {
+  // abort@1:1 kills the child owning cell 1 on its first attempt only:
+  // the retry round runs it as attempt 1, where the fault is spent.
+  const SweepSpec spec = four_group_spec();
+  const FaultPlan plan = FaultPlan::parse("abort@1:1");
+  SpawnOptions opts;
+  opts.children = 2;
+  opts.exec.retries = 1;
+  opts.exec.fault_plan = &plan;
+  TempDir dir;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_spawned_sweep(spec, opts, dir.file("merged.csv"),
+                              std::nullopt, out, err),
+            0)
+      << err.str();
+  EXPECT_EQ(slurp(dir.file("merged.csv")), run_single(spec));
+}
+
+std::vector<std::string> spawn_scratch_directories() {
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("pg-spawn-", 0) == 0) found.push_back(name);
+  }
+  std::sort(found.begin(), found.end());
+  return found;
+}
+
+TEST(Spawn, FailedRunLeavesNoScratchDirectory) {
+  const SweepSpec spec = four_group_spec();
+  const FaultPlan plan = FaultPlan::parse(abort_plan_for_group(1));
+  SpawnOptions opts;
+  opts.children = 2;
+  opts.exec.fault_plan = &plan;
+  const std::vector<std::string> before = spawn_scratch_directories();
+  std::ostringstream out, err;
+  EXPECT_EQ(run_spawned_sweep(spec, opts, std::string("-"), std::nullopt,
+                              out, err),
+            1);
+  EXPECT_EQ(out.str(), "");  // no report without --allow-partial
+  EXPECT_EQ(spawn_scratch_directories(), before);
+}
+
+TEST(Spawn, IsolateComposesWithThreadsAndSpawn) {
+  // Two cells per group; abort@3 kills the isolate child of group 1 at
+  // its second cell, after the first one's row left the child.
+  const std::vector<std::string> base = {
+      "sweep",      "--scenarios", "grid",     "--algorithms",
+      "matching,mvc", "--sizes",   "32",       "--seeds",
+      "1,2,3,4",    "--isolate",   "--fault-plan", "abort@3",
+      "--csv",      "-"};
+  const auto run = [&](const std::vector<std::string>& extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::istringstream in;
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, in, out, err), 1) << err.str();
+    return out.str();
+  };
+  const std::string serial = run({"--threads", "1"});
+  EXPECT_EQ(run({"--threads", "4"}), serial);
+  EXPECT_EQ(run({"--spawn", "2"}), serial);
+
+  std::istringstream lines(serial);
+  std::string line;
+  std::getline(lines, line);  // header
+  std::size_t ok = 0, failed = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("3,", 0) == 0) {
+      EXPECT_NE(line.find(",failed,"), std::string::npos) << line;
+      EXPECT_NE(line.find("killed by signal"), std::string::npos) << line;
+      ++failed;
+    } else if (line.find(",ok,") != std::string::npos) {
+      ++ok;
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(ok, 7u);
 }
 
 #endif  // PG_TEST_HAS_FORK
