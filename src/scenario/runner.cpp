@@ -1123,10 +1123,14 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
     emitting = false;
   };
 
-  // Same budgeting rule as power_threads: a multi-worker sweep is
-  // already machine-saturating, so each simulator stays serial; the knob
-  // bites in the threads == 1 regime (one huge CONGEST cell).
-  const int congest_threads = workers > 1 ? 1 : spec.congest_threads;
+  // A multi-worker sweep is already machine-saturating, so each cell's
+  // G^r construction and simulator stay serial; the knobs bite in the
+  // threads == 1 regime (one huge cell).  A forked child dealt its groups
+  // by a parent with threads > 1 (an isolated group, or a spawn shard)
+  // counts as one of that parent's workers, however few groups it runs.
+  const bool saturated =
+      workers > 1 || (spec.threads > 1 && !spec.shard_groups.empty());
+  const int congest_threads = saturated ? 1 : spec.congest_threads;
 
   auto run_rank = [&](std::size_t rank, std::size_t worker_id,
                       NetworkPool& pool, std::vector<CellSpec>& group) {
@@ -1152,52 +1156,42 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
     env.worker = worker_id;
     env.group_index = g;
     run_group(group, g * per_group, spec.exact_baseline_max_n, &pool,
-              workers > 1 ? 1 : 0, congest_threads, /*keep_solutions=*/false,
+              saturated ? 1 : 0, congest_threads, /*keep_solutions=*/false,
               env, emit);
-    if (!per_cell) finish_group(rank, std::move(rows));
+    finish_group(rank, std::move(rows));  // empty when already sent
   };
 
   if (opts.isolate && spawn_supported()) {
-    // Up to `workers` forked children at a time, each running one group
-    // without a journal (this process journals their rows).  All are
-    // forked from this one thread: a child gets only the forking thread,
-    // and a lock another thread held at that moment would stay locked.
+    // One forked child per group, up to `workers` at a time, none with a
+    // journal (this process journals their rows).  run_children forks
+    // from this one thread: a child gets only the forking thread, and a
+    // lock another thread held at that moment would stay locked.
     std::vector<CellSpec> group = pattern;
-    for (std::size_t rank = start_rank; rank < my_groups; rank += workers) {
-      if (stop_claiming.load(std::memory_order_relaxed)) break;
-      std::vector<ChildJob> jobs(std::min(workers, my_groups - rank));
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].spec = spec;
-        jobs[i].spec.shard_groups = {group_of_rank(rank + i)};
-        jobs[i].spec.congest_threads = congest_threads;
-        jobs[i].exec = opts;
-        jobs[i].exec.isolate = false;
-        jobs[i].exec.journal_dir.clear();
-      }
-      run_children(jobs, opts.retries, nullptr);
-      // A crash costs only the cells the child never sent; they become
-      // failed rows naming the cause.
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::size_t g = group_of_rank(rank + i);
-        stamp_group(spec, g, group);
-        const std::string why = jobs[i].error + " (" +
-                                std::to_string(jobs[i].attempts) +
-                                " attempt(s))";
-        std::vector<CellResult> rows = std::move(jobs[i].rows);
-        for (std::size_t j = rows.size(); j < per_group; ++j)
-          fail_cell(rows.emplace_back(), group[j], g * per_group + j,
-                    CellStatus::kFailed, why, 0.0);
-        finish_group(rank + i, std::move(rows));
-      }
-    }
-  } else if (workers <= 1) {
-    // Single worker: groups run and emit strictly in order, no buffering.
-    NetworkPool pool;
-    std::vector<CellSpec> group = pattern;
-    for (std::size_t rank = start_rank; rank < my_groups; ++rank) {
-      if (stop_claiming.load(std::memory_order_relaxed)) break;
-      run_rank(rank, 0, pool, group);
-    }
+    const auto make = [&](std::size_t i) {
+      ChildJob job;
+      job.spec = spec;
+      job.spec.threads = static_cast<int>(workers);
+      job.spec.shard_groups = {group_of_rank(start_rank + i)};
+      job.exec = opts;
+      job.exec.isolate = false;
+      job.exec.journal_dir.clear();
+      return job;
+    };
+    // A crash costs only the cells the child never sent; they become
+    // failed rows naming the cause.
+    const auto done = [&](ChildJob& job) {
+      const std::size_t g = job.spec.shard_groups.front();
+      stamp_group(spec, g, group);
+      const std::string why = job.error + " (" +
+                              std::to_string(job.attempts) + " attempt(s))";
+      for (std::size_t j = job.rows.size(); j < per_group; ++j)
+        fail_cell(job.rows.emplace_back(), group[j], g * per_group + j,
+                  CellStatus::kFailed, why, 0.0);
+      for (const CellResult& row : job.rows) summary.count(row);
+      write_out(job.rows);
+      return !stop_claiming.load(std::memory_order_relaxed);
+    };
+    run_children(remaining, workers, opts.retries, nullptr, make, done);
   } else {
     std::atomic<std::size_t> cursor{start_rank};
     auto drain = [&](std::size_t worker_id) {

@@ -316,9 +316,9 @@ CellResult run_cell_on(graph::GraphView base, const CellSpec& cell,
 ///
 /// Failure containment: a worker failure of any kind — algorithm or
 /// generator exception, PG_REQUIRE violation, watchdog expiry, crashed
-/// isolate child — becomes a non-ok *row* routed through the reorder
-/// ring, never an escaped exception, so the writer always drains and the
-/// summary always accounts for every claimed cell.  Only a sink or
+/// isolate child — becomes a non-ok *row* emitted in cell order, never
+/// an escaped exception, so the writer always drains and the summary
+/// always accounts for every claimed cell.  Only a sink or
 /// journal I/O error aborts the sweep, and even then the worker pool is
 /// quiesced and joined before the exception leaves this function.
 SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,

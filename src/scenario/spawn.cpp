@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -83,8 +84,8 @@ SpawnPlan plan_spawn(const SweepSpec& spec, int children,
 
 namespace {
 
-/// Pause before each retry round, so a transient cause (memory pressure,
-/// a busy file) has a moment to clear.
+/// Pause before relaunching a dead child, so a transient cause (memory
+/// pressure, a busy file) has a moment to clear.
 constexpr std::chrono::milliseconds kRetryBackoff{50};
 
 /// Wire lines a child sends up its pipe:
@@ -136,21 +137,23 @@ void send_line(int fd, std::string line) {
   ::_exit(code);
 }
 
-/// The parent's view of one live child.
-struct Running {
-  ChildJob* job = nullptr;
-  pid_t pid = -1;
-  int fd = -1;  // read end of the pipe; -1 once drained
+/// One job, from its first launch until it is handed to `done`, and
+/// the parent's view of its current attempt.
+struct Child {
+  ChildJob job;
   std::vector<std::size_t> owed;  // the cell indices it sends, in order
+  pid_t pid = -1;  // the current attempt's process; -1 once reaped
+  int fd = -1;  // read end of its pipe; -1 once drained
   std::string buffer;
   bool summarized = false;
   bool refused = false;  // sent a row out of turn; the rest is ignored
+  bool settled = false;  // complete, or out of attempts
   int last_tick = -1;
 };
 
 /// Consumes one wire line from a child.
-void take_line(Running& child, std::string_view line, std::ostream* progress) {
-  ChildJob& job = *child.job;
+void take_line(Child& child, std::string_view line, std::ostream* progress) {
+  ChildJob& job = child.job;
   const auto note = [&]() -> std::ostream& {
     return *progress << "[" << job.label << "] ";
   };
@@ -189,107 +192,157 @@ void take_line(Running& child, std::string_view line, std::ostream* progress) {
 
 }  // namespace
 
-void run_children(std::vector<ChildJob>& jobs, int retries,
-                  std::ostream* progress) {
-  for (int round = 0; round <= std::max(retries, 0); ++round) {
-    if (round > 0) std::this_thread::sleep_for(kRetryBackoff);
-    std::vector<Running> running;
-    for (ChildJob& job : jobs) {
-      if (job.complete) continue;
-      const int attempt = job.attempts++;
-      job.rows.clear();
-      job.error.clear();
-      int fds[2];
-      if (::pipe(fds) != 0) {
-        job.error = "cannot create a pipe for the worker process";
-        continue;
-      }
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        job.error = "cannot fork a worker process";
-        continue;
-      }
-      if (pid == 0) {
-        ::close(fds[0]);
-        // Drop read ends inherited from siblings so their EOFs stay crisp.
-        for (const Running& other : running) ::close(other.fd);
-        run_child(job, attempt, fds[1]);
-      }
+void run_children(std::size_t count, std::size_t parallel, int retries,
+                  std::ostream* progress,
+                  const std::function<ChildJob(std::size_t)>& make,
+                  const std::function<bool(ChildJob&)>& done) {
+  // live[i] is job handed + i.  A finished job waits here until every
+  // earlier one was handed over, and a new one starts only while fewer
+  // than `window` are held, so memory stays bounded however long one
+  // child runs.
+  std::deque<Child> live;
+  std::size_t handed = 0, running = 0;
+  const std::size_t window = 4 * std::max<std::size_t>(parallel, 1);
+  bool stopped = false;
+
+  // A dead child with attempts left is relaunched by the next fill,
+  // after a pause.
+  const auto died = [&](Child& child) {
+    child.settled = child.job.attempts > retries;
+    if (child.settled) return;
+    if (progress != nullptr)
+      *progress << "[" << child.job.label << "] retrying (" << child.job.error
+                << ")\n";
+    std::this_thread::sleep_for(kRetryBackoff);
+  };
+  const auto launch = [&](Child& child) {
+    ChildJob& job = child.job;
+    const int attempt = job.attempts++;
+    job.rows.clear();
+    job.error.clear();
+    child.buffer.clear();
+    child.summarized = false;
+    child.refused = false;
+    child.last_tick = -1;
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      job.error = "cannot create a pipe for the worker process";
+      return died(child);
+    }
+    child.pid = ::fork();
+    if (child.pid < 0) {
+      ::close(fds[0]);
       ::close(fds[1]);
-      Running& child = running.emplace_back();
-      child.job = &job;
-      child.pid = pid;
-      child.fd = fds[0];
-      child.owed = shard_cell_indices(job.spec);
-      if (progress != nullptr)
-        *progress << "[" << job.label << "] pid " << pid << job.launch_note
-             << (attempt > 0 || job.exec.resume ? ", resuming" : "") << "\n";
+      job.error = "cannot fork a worker process";
+      return died(child);
+    }
+    if (child.pid == 0) {
+      ::close(fds[0]);
+      // Drop read ends inherited from siblings so their EOFs stay crisp.
+      for (const Child& other : live)
+        if (other.fd >= 0) ::close(other.fd);
+      run_child(job, attempt, fds[1]);
+    }
+    ::close(fds[1]);
+    child.fd = fds[0];
+    ++running;
+    if (progress != nullptr)
+      *progress << "[" << job.label << "] pid " << child.pid
+                << job.launch_note
+                << (attempt > 0 || job.exec.resume ? ", resuming" : "") << "\n";
+  };
+  const auto reap = [&](Child& child) {
+    int status = 0;
+    while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    child.pid = -1;
+    --running;
+    ChildJob& job = child.job;
+    job.complete = WIFEXITED(status) && WEXITSTATUS(status) <= 1 &&
+                   child.summarized && !child.refused &&
+                   job.rows.size() == child.owed.size();
+    if (job.complete) {
+      child.settled = true;
+      return;
+    }
+    // Why it died: a signal names itself; otherwise the child's own
+    // error line (or a refused row) says more than its exit code.
+    if (WIFSIGNALED(status))
+      job.error = "worker process killed by signal " +
+                  std::to_string(WTERMSIG(status));
+    else if (job.error.empty())
+      job.error = "worker process exited with status " +
+                  std::to_string(WEXITSTATUS(status));
+    died(child);
+  };
+
+  std::vector<pollfd> fds;
+  for (;;) {
+    while (!live.empty() && live.front().settled) {
+      stopped = stopped || !done(live.front().job);
+      live.pop_front();
+      ++handed;
+    }
+    // Fill free slots: the dead awaiting a retry first, then new jobs.
+    for (Child& child : live)
+      if (!stopped && running < parallel && !child.settled && child.pid < 0)
+        launch(child);
+    while (!stopped && running < parallel && live.size() < window &&
+           handed + live.size() < count) {
+      Child& child = live.emplace_back();
+      child.job = make(handed + live.size() - 1);
+      child.owed = shard_cell_indices(child.job.spec);
+      launch(child);
+    }
+    if (running == 0) {
+      if (stopped || live.empty()) return;
+      continue;  // a launch failed: hand it over, or retry it
     }
 
-    // Read every pipe to EOF, consuming lines as they arrive.
-    std::vector<pollfd> fds;
-    for (;;) {
-      fds.clear();
-      for (const Running& child : running)
-        if (child.fd >= 0) fds.push_back({child.fd, POLLIN, 0});
-      if (fds.empty()) break;
-      if (::poll(fds.data(), fds.size(), -1) < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      std::size_t at = 0;
-      for (Running& child : running) {
-        if (child.fd < 0) continue;
-        if ((fds[at++].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        char chunk[4096];
-        const ssize_t got = ::read(child.fd, chunk, sizeof(chunk));
-        if (got > 0) {
-          child.buffer.append(chunk, static_cast<std::size_t>(got));
-          std::size_t from = 0, nl;
-          while ((nl = child.buffer.find('\n', from)) != std::string::npos) {
-            take_line(child,
-                      std::string_view(child.buffer).substr(from, nl - from),
-                      progress);
-            from = nl + 1;
-          }
-          child.buffer.erase(0, from);
-        } else if (got == 0 || errno != EINTR) {
-          ::close(child.fd);
-          child.fd = -1;
+    // Read every pipe, consuming lines as they arrive; a drained child
+    // is reaped at once, freeing its slot.
+    fds.clear();
+    for (const Child& child : live)
+      if (child.fd >= 0) fds.push_back({child.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      for (pollfd& ready : fds) ready.revents = POLLERR;  // read blocking
+    }
+    std::size_t at = 0;
+    for (Child& child : live) {
+      if (child.fd < 0) continue;
+      if ((fds[at++].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      char chunk[4096];
+      const ssize_t got = ::read(child.fd, chunk, sizeof(chunk));
+      if (got > 0) {
+        child.buffer.append(chunk, static_cast<std::size_t>(got));
+        std::size_t from = 0, nl;
+        while ((nl = child.buffer.find('\n', from)) != std::string::npos) {
+          take_line(child,
+                    std::string_view(child.buffer).substr(from, nl - from),
+                    progress);
+          from = nl + 1;
         }
+        child.buffer.erase(0, from);
+      } else if (got == 0 || errno != EINTR) {
+        ::close(child.fd);
+        child.fd = -1;
+        reap(child);
       }
-    }
-
-    for (Running& child : running) {
-      int status = 0;
-      while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      ChildJob& job = *child.job;
-      job.complete = WIFEXITED(status) && WEXITSTATUS(status) <= 1 &&
-                     child.summarized && !child.refused &&
-                     job.rows.size() == child.owed.size();
-      // Why it died: a signal names itself; otherwise the child's own
-      // error line (or the refusal above) says more than its exit code.
-      if (job.complete) continue;
-      if (WIFSIGNALED(status))
-        job.error = "worker process killed by signal " +
-                    std::to_string(WTERMSIG(status));
-      else if (job.error.empty())
-        job.error = "worker process exited with status " +
-                    std::to_string(WEXITSTATUS(status));
-      if (progress != nullptr && round < retries)
-        *progress << "[" << job.label << "] retrying (" << job.error << ")\n";
     }
   }
 }
 
 #else  // !PG_HAS_FORK
 
-void run_children(std::vector<ChildJob>& jobs, int, std::ostream*) {
-  for (ChildJob& job : jobs)
+void run_children(std::size_t count, std::size_t, int, std::ostream*,
+                  const std::function<ChildJob(std::size_t)>& make,
+                  const std::function<bool(ChildJob&)>& done) {
+  for (std::size_t i = 0; i < count; ++i) {
+    ChildJob job = make(i);
     job.error = "forked children need a POSIX platform";
+    if (!done(job)) return;
+  }
 }
 
 #endif
@@ -312,20 +365,27 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
         << children << " child(ren)\n";
 
   const SpawnPlan plan = plan_spawn(spec, children, opts.exec.budget_ms);
-  std::vector<ChildJob> jobs(static_cast<std::size_t>(children));
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    ChildJob& job = jobs[s];
-    job.spec = spec;
-    job.spec.shard_index = static_cast<int>(s) + 1;
-    job.spec.shard_count = children;
-    job.spec.shard_groups = plan.shards[s];
-    job.exec = opts.exec;
-    job.label = std::to_string(s + 1) + "/" + std::to_string(children);
-    job.launch_note = ", " + std::to_string(plan.shards[s].size()) +
-                      " group(s), predicted cost " +
-                      std::to_string(static_cast<long long>(plan.costs[s]));
-  }
-  run_children(jobs, opts.exec.retries, opts.progress ? &err : nullptr);
+  std::vector<ChildJob> jobs;
+  run_children(
+      plan.shards.size(), plan.shards.size(), opts.exec.retries,
+      opts.progress ? &err : nullptr,
+      [&](std::size_t s) {
+        ChildJob job;
+        job.spec = spec;
+        job.spec.shard_index = static_cast<int>(s) + 1;
+        job.spec.shard_count = children;
+        job.spec.shard_groups = plan.shards[s];
+        job.exec = opts.exec;
+        job.label = std::to_string(s + 1) + "/" + std::to_string(children);
+        job.launch_note = ", " + std::to_string(plan.shards[s].size()) +
+                          " group(s), predicted cost " +
+                          std::to_string(static_cast<long long>(plan.costs[s]));
+        return job;
+      },
+      [&](ChildJob& job) {
+        jobs.push_back(std::move(job));
+        return true;
+      });
 
   // ----------------------------------------------------------- report ---
   const std::size_t grid = count_grid_cells(spec);

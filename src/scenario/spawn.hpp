@@ -5,8 +5,8 @@
 // `run_sweep_stream` over its own groups (SweepSpec::shard_groups) and
 // writes every row up a pipe as a journal record (encode_cell_record),
 // then one closing summary or error line.  The parent polls every pipe,
-// keeps only the next record each child owes, reaps the children, and
-// relaunches the dead ones in attempt rounds up to ExecOptions::retries.
+// keeps only the next record each child owes, reaps each child as it
+// finishes, and relaunches the dead ones up to ExecOptions::retries.
 // A retry re-streams from the child's first cell: with a journal that is
 // a resume, without one a re-run.  `--isolate` runs each topology group
 // as a one-group job; `--spawn k` runs k cost-balanced shards.
@@ -75,7 +75,7 @@ struct SpawnOptions {
   ReportColumns columns;
   /// Forwarded to every child (journal_dir/resume give each child its
   /// own journal file inside the shared directory).  `exec.retries` is
-  /// the number of extra attempt rounds for children that died: with a
+  /// the number of extra attempts for a child that died: with a
   /// journal each retry resumes from it, without one it re-runs the
   /// child's whole slice (byte-identical either way).
   ExecOptions exec;
@@ -106,14 +106,21 @@ struct ChildJob {
   double wall_ms = 0.0;
 };
 
-/// Forks one child per job, collects its rows, and relaunches the
-/// children that died — killed, exited abnormally, or short of rows — in
-/// attempt rounds after a fixed backoff, at most `retries` extra rounds.
-/// Attempt a's child sees the fault plan `for_attempt(a)`.  A non-null
-/// `progress` gets `[label] …` lines: launches, `cells done/total` ticks,
-/// summaries, error lines and retries.
-void run_children(std::vector<ChildJob>& jobs, int retries,
-                  std::ostream* progress);
+/// Runs jobs 0..count-1, each in its own forked child, at most
+/// `parallel` at a time: a slot is refilled as soon as its child is
+/// reaped.  `make(i)` builds job i just before its first launch; `done`
+/// gets every job, in index order, once it completed or used up its
+/// attempts, and returns false to launch no further jobs.  A child that
+/// died — killed, exited abnormally, or short of rows — is relaunched
+/// after a fixed backoff, at most `retries` more times; attempt a's child
+/// sees the fault plan `for_attempt(a)`.  At most 4·parallel jobs are
+/// held between launch and hand-over.  A non-null `progress` gets
+/// `[label] …` lines: launches, `cells done/total` ticks, summaries,
+/// error lines and retries.
+void run_children(std::size_t count, std::size_t parallel, int retries,
+                  std::ostream* progress,
+                  const std::function<ChildJob(std::size_t)>& make,
+                  const std::function<bool(ChildJob&)>& done);
 
 /// Runs the sweep as a fleet of forked shard children and writes the
 /// report(s) from their rows.  `csv_path`/`json_path` follow the CLI

@@ -341,6 +341,38 @@ TEST(Spawn, IsolateComposesWithThreadsAndSpawn) {
   EXPECT_EQ(ok, 7u);
 }
 
+TEST(Spawn, RunChildrenRefillsASlotWhileASlowJobRuns) {
+  // Job 0 stalls until its 1 s cell budget expires; jobs 1-3 take
+  // milliseconds.  With two slots, jobs 2 and 3 start (and finish) in the
+  // slot job 1 freed while job 0 still runs, yet every job is handed over
+  // in index order.
+  const SweepSpec spec = four_group_spec();
+  const FaultPlan plan = FaultPlan::parse("stall@0");
+  std::ostringstream progress;
+  std::vector<std::string> handed;
+  run_children(
+      4, 2, 0, &progress,
+      [&](std::size_t i) {
+        ChildJob job;
+        job.spec = spec;
+        job.spec.shard_groups = {i};
+        job.exec.fault_plan = &plan;
+        job.exec.cell_timeout_ms = 1000.0;
+        job.label = std::to_string(i);
+        return job;
+      },
+      [&](ChildJob& job) {
+        EXPECT_TRUE(job.complete) << job.error;
+        EXPECT_EQ(job.rows.size(), 1u);
+        handed.push_back(job.label);
+        return true;
+      });
+  EXPECT_EQ(handed, (std::vector<std::string>{"0", "1", "2", "3"}));
+  const std::string log = progress.str();
+  ASSERT_NE(log.find("[0] done"), std::string::npos) << log;
+  EXPECT_LT(log.find("[3] done"), log.find("[0] done")) << log;
+}
+
 #endif  // PG_TEST_HAS_FORK
 
 }  // namespace
