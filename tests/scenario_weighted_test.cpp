@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,133 @@ TEST(ImplicitWeightedBaselines, UnitWeightsDegenerateToUnweightedTwins) {
                   solvers::greedy_mds_power(g, r).to_vector())
             << scenario << " r=" << r;
       }
+}
+
+// -------------------------------------------- implicit baseline golden ---
+
+/// FNV-1a over a cover's ascending ids.
+std::uint64_t cover_hash(const std::vector<VertexId>& cover) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (VertexId v : cover) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct GoldenCover {
+  const char* scenario;
+  VertexId n;
+  int r;
+  const char* solver;     // "mvc", "mwvc" or "on" (hub-free mask)
+  const char* weighting;  // ignored by "mvc"
+  std::size_t size;
+  Weight weight;
+  std::uint64_t hash;
+};
+
+// Recorded from the ball-scan implementation these solvers replaced.
+constexpr GoldenCover kGoldenCovers[] = {
+    {"chung-lu", 4000, 1, "mvc", "unit", 2728, 2728, 0x0e2fca03f6a78eb3ull},
+    {"chung-lu", 4000, 1, "mwvc", "unit", 2728, 2728, 0x0e2fca03f6a78eb3ull},
+    {"chung-lu", 4000, 1, "mwvc", "uniform", 2115, 91683, 0xa74c02123f0d4635ull},
+    {"chung-lu", 4000, 1, "mwvc", "zipf", 2369, 4479, 0xc93d7c561f5faedbull},
+    {"chung-lu", 4000, 1, "on", "unit", 2000, 2000, 0x186fdd8f40bf1523ull},
+    {"chung-lu", 4000, 1, "on", "uniform", 1495, 64486, 0xcfb52927194fc030ull},
+    {"chung-lu", 4000, 1, "on", "zipf", 1691, 3026, 0xb23e967daf7ad199ull},
+    {"chung-lu", 4000, 2, "mvc", "unit", 3616, 3616, 0xec099a08ceed3ed3ull},
+    {"chung-lu", 4000, 2, "mwvc", "unit", 3616, 3616, 0xec099a08ceed3ed3ull},
+    {"chung-lu", 4000, 2, "mwvc", "uniform", 3389, 165848, 0x6f0beeabc27486b0ull},
+    {"chung-lu", 4000, 2, "mwvc", "zipf", 3416, 9922, 0x16191583a9179d11ull},
+    {"chung-lu", 4000, 2, "on", "unit", 2800, 2800, 0x1c27a88ca9f66a11ull},
+    {"chung-lu", 4000, 2, "on", "uniform", 2582, 125691, 0xe2fd6e37db88759eull},
+    {"chung-lu", 4000, 2, "on", "zipf", 2639, 7480, 0x63ff7edafb75cde6ull},
+    {"chung-lu", 4000, 3, "mvc", "unit", 3874, 3874, 0x0f3d370ad6e17313ull},
+    {"chung-lu", 4000, 3, "mwvc", "unit", 3874, 3874, 0x0f3d370ad6e17313ull},
+    {"chung-lu", 4000, 3, "mwvc", "uniform", 3820, 192550, 0x14153bce6c7ead10ull},
+    {"chung-lu", 4000, 3, "mwvc", "zipf", 3745, 13438, 0x229c0292d4441ba3ull},
+    {"chung-lu", 4000, 3, "on", "unit", 3062, 3062, 0x2624f964b09331e6ull},
+    {"chung-lu", 4000, 3, "on", "uniform", 3001, 150904, 0x3b54e1df685b5925ull},
+    {"chung-lu", 4000, 3, "on", "zipf", 2935, 10409, 0x9931c092642df7cfull},
+    {"chung-lu", 4000, 4, "mvc", "unit", 3966, 3966, 0x378d9524cdb85de6ull},
+    {"chung-lu", 4000, 4, "mwvc", "unit", 3966, 3966, 0x378d9524cdb85de6ull},
+    {"chung-lu", 4000, 4, "mwvc", "uniform", 3954, 200297, 0x0c05cf018fa8ffbbull},
+    {"chung-lu", 4000, 4, "mwvc", "zipf", 3922, 15859, 0xbcf76bbfccbfd0ddull},
+    {"chung-lu", 4000, 4, "on", "unit", 3144, 3144, 0xa446d9ccfd1bbb7eull},
+    {"chung-lu", 4000, 4, "on", "uniform", 3128, 158344, 0x64773ab7d89b98abull},
+    {"chung-lu", 4000, 4, "on", "zipf", 3099, 12879, 0x2e9a6466ca5e281dull},
+    {"ba", 3000, 1, "mvc", "unit", 1996, 1996, 0x11107d6dca8bf1c8ull},
+    {"ba", 3000, 1, "mwvc", "unit", 1996, 1996, 0x11107d6dca8bf1c8ull},
+    {"ba", 3000, 1, "mwvc", "uniform", 1566, 68193, 0x1f1c577132599121ull},
+    {"ba", 3000, 1, "mwvc", "zipf", 1784, 3140, 0x503314efa7ddcd56ull},
+    {"ba", 3000, 1, "on", "unit", 1458, 1458, 0xcd806579eba34f4aull},
+    {"ba", 3000, 1, "on", "uniform", 1104, 47632, 0x6de047620abb0018ull},
+    {"ba", 3000, 1, "on", "zipf", 1286, 2119, 0x470e325756f36f55ull},
+    {"ba", 3000, 2, "mvc", "unit", 2766, 2766, 0xd73d48c831df177cull},
+    {"ba", 3000, 2, "mwvc", "unit", 2766, 2766, 0xd73d48c831df177cull},
+    {"ba", 3000, 2, "mwvc", "uniform", 2626, 127729, 0xbb48d5bb8053614dull},
+    {"ba", 3000, 2, "mwvc", "zipf", 2686, 7619, 0x5cca114bbad536d1ull},
+    {"ba", 3000, 2, "on", "unit", 2158, 2158, 0x23824b7748f41563ull},
+    {"ba", 3000, 2, "on", "uniform", 2026, 98294, 0x09ca24b482a4cebdull},
+    {"ba", 3000, 2, "on", "zipf", 2068, 5501, 0x3e2f4912d3fd7507ull},
+    {"ba", 3000, 3, "mvc", "unit", 2948, 2948, 0x3782fbe15f714630ull},
+    {"ba", 3000, 3, "mwvc", "unit", 2948, 2948, 0x3782fbe15f714630ull},
+    {"ba", 3000, 3, "mwvc", "uniform", 2912, 145581, 0x45fa67723fa3e244ull},
+    {"ba", 3000, 3, "mwvc", "zipf", 2896, 11231, 0x6d7f70566d69338cull},
+    {"ba", 3000, 3, "on", "unit", 2324, 2324, 0xa71dc0535eeb15e0ull},
+    {"ba", 3000, 3, "on", "uniform", 2288, 114339, 0xe697b95ab30cb3a1ull},
+    {"ba", 3000, 3, "on", "zipf", 2272, 8806, 0x8b1b865e4e9fea33ull},
+    {"ba", 3000, 4, "mvc", "unit", 2994, 2994, 0xfdc6ca3553e51141ull},
+    {"ba", 3000, 4, "mwvc", "unit", 2994, 2994, 0xfdc6ca3553e51141ull},
+    {"ba", 3000, 4, "mwvc", "uniform", 2982, 150140, 0x048a85c4b8bb2afaull},
+    {"ba", 3000, 4, "mwvc", "zipf", 2975, 13210, 0x9e344177446bd590ull},
+    {"ba", 3000, 4, "on", "unit", 2368, 2368, 0x3aea9b403b3d9d70ull},
+    {"ba", 3000, 4, "on", "uniform", 2358, 118891, 0xc23bda8bedcbcc62ull},
+    {"ba", 3000, 4, "on", "zipf", 2356, 10649, 0x7cefaaaf8ecbf14eull},
+};
+
+std::vector<VertexId> golden_cover(const Graph& g, int r, const char* solver,
+                                   const VertexWeights& w) {
+  const std::string kind = solver;
+  if (kind == "mvc") return solvers::local_ratio_mvc_power(g, r).to_vector();
+  if (kind == "mwvc")
+    return (r == 1 ? solvers::local_ratio_mwvc(g, w)
+                   : solvers::local_ratio_mwvc_power(g, r, w))
+        .to_vector();
+  // The 1% highest-degree vertices and every fifth id left out.
+  std::vector<VertexId> by_degree(static_cast<std::size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    by_degree[static_cast<std::size_t>(v)] = v;
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&](VertexId a, VertexId b) {
+                     return g.degree(a) > g.degree(b);
+                   });
+  std::vector<bool> active(by_degree.size(), true);
+  for (std::size_t i = 0; i < by_degree.size() / 100; ++i)
+    active[static_cast<std::size_t>(by_degree[i])] = false;
+  for (VertexId v = 0; v < g.num_vertices(); v += 5)
+    active[static_cast<std::size_t>(v)] = false;
+  return solvers::local_ratio_mwvc_power_on(g, r, w, active).to_vector();
+}
+
+TEST(ImplicitBaselineGolden, CoversMatchRecordedRuns) {
+  // Power-law instances where G^r is too large to materialize as an
+  // oracle in a unit test: each implicit baseline's cover is pinned by
+  // size, weight and an FNV-1a hash of its ids.
+  const Graph chung_lu = build_scenario("chung-lu", 4000, 7);
+  const Graph ba = build_scenario("ba", 3000, 7);
+  for (const GoldenCover& golden : kGoldenCovers) {
+    const Graph& g = std::string(golden.scenario) == "ba" ? ba : chung_lu;
+    ASSERT_EQ(g.num_vertices(), golden.n);
+    const VertexWeights w = weighting_or_throw(golden.weighting).build(g, 7);
+    const auto cover = golden_cover(g, golden.r, golden.solver, w);
+    const std::string label = std::string(golden.scenario) + "/r" +
+                              std::to_string(golden.r) + "/" + golden.solver +
+                              "/" + golden.weighting;
+    EXPECT_EQ(cover.size(), golden.size) << label;
+    EXPECT_EQ(w.total_of(cover), golden.weight) << label;
+    EXPECT_EQ(cover_hash(cover), golden.hash) << label;
+  }
 }
 
 // --------------------------------------------------------- gr-mwvc core ---
