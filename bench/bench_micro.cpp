@@ -106,8 +106,9 @@ BENCHMARK(BM_GrMvcLarge)
 // The implicit G^r layer (PowerView ball probes) on the input shape of
 // perfbench's implicit-powerlaw workload: a linked Chung-Lu graph,
 // exponent 2.5, average degree 4, whose hubs make G^3 dense.  Args:
-// {n, r}.  The edge count is the sweep's target_edges; the weighted local
-// ratio is gr-mwvc's baseline (weights uniform in [1, 100]).
+// {n, r}.  The edge count is the sweep's target_edges; the local ratio
+// (extra arg unit) is gr-mwvc's baseline at unit 0 (weights uniform in
+// [1, 100]) and gr-mvc's, local_ratio_mvc_power, at unit 1.
 Graph power_view_bench_graph(benchmark::State& state) {
   Rng rng(9);
   return graph::link_components(graph::chung_lu(
@@ -129,12 +130,14 @@ void BM_LocalRatioMwvcPower(benchmark::State& state) {
   const Graph g = power_view_bench_graph(state);
   const graph::VertexWeights w = exact_bench_weights(g);
   const int r = static_cast<int>(state.range(1));
+  const bool unit = state.range(2) != 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(solvers::local_ratio_mwvc_power(g, r, w));
+    benchmark::DoNotOptimize(unit ? solvers::local_ratio_mvc_power(g, r)
+                                  : solvers::local_ratio_mwvc_power(g, r, w));
 }
 BENCHMARK(BM_LocalRatioMwvcPower)
-    ->ArgNames({"n", "r"})
-    ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3}})
+    ->ArgNames({"n", "r", "unit"})
+    ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3, 4}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CongestBroadcastRound(benchmark::State& state) {

@@ -436,12 +436,7 @@ class GroupContext {
       }
       if (!solved) {
         if (problem == Problem::kVertexCover) {
-          if (r == 1) {
-            const graph::VertexWeights unit(n, 1);
-            b.size = solvers::local_ratio_mwvc(base_, unit).size();
-          } else {
-            b.size = solvers::local_ratio_mvc_power(base_, r).size();
-          }
+          b.size = solvers::local_ratio_mvc_power(base_, r).size();
         } else {
           b.size = r == 1 ? solvers::greedy_mds(base_).size()
                           : solvers::greedy_mds_power(base_, r).size();
@@ -492,8 +487,7 @@ class GroupContext {
       if (!solved) {
         VertexSet reference;
         if (problem == Problem::kVertexCover) {
-          reference = r == 1 ? solvers::local_ratio_mwvc(base_, w)
-                             : solvers::local_ratio_mwvc_power(base_, r, w);
+          reference = solvers::local_ratio_mwvc_power(base_, r, w);
         } else {
           reference = r == 1 ? solvers::greedy_mwds(base_, w)
                              : solvers::greedy_mwds_power(base_, r, w);

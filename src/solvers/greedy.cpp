@@ -1,7 +1,9 @@
 #include "solvers/greedy.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 
 #include "graph/power_view.hpp"
@@ -14,28 +16,6 @@ using graph::VertexId;
 using graph::VertexSet;
 using graph::VertexWeights;
 using graph::Weight;
-
-VertexSet local_ratio_mwvc(GraphView g, const VertexWeights& w) {
-  PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
-  std::vector<Weight> residual(static_cast<std::size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    PG_REQUIRE(w[v] >= 0, "vertex weights must be non-negative");
-    residual[static_cast<std::size_t>(v)] = w[v];
-  }
-  g.for_each_edge([&](VertexId u, VertexId v) {
-    const Weight delta = std::min(residual[static_cast<std::size_t>(u)],
-                                  residual[static_cast<std::size_t>(v)]);
-    residual[static_cast<std::size_t>(u)] -= delta;
-    residual[static_cast<std::size_t>(v)] -= delta;
-  });
-  VertexSet cover(g.num_vertices());
-  // Zero-residual vertices form the cover; vertices that started at weight 0
-  // join for free (harmless and makes the cover maximal-friendly).
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (residual[static_cast<std::size_t>(v)] == 0 && g.degree(v) > 0)
-      cover.insert(v);
-  return cover;
-}
 
 namespace {
 
@@ -87,53 +67,29 @@ VertexSet greedy_mwds(GraphView g, const VertexWeights& w) {
   return greedy_ds_impl(g, &w);
 }
 
-VertexSet local_ratio_mvc_power(GraphView g, int r) {
-  // Unit-weight local ratio over for_each_edge order degenerates to the
-  // lexicographic greedy matching: scanning rows u ascending, an unmatched
-  // u pairs with its smallest unmatched G^r-neighbor v > u (a row's edges
-  // after the pairing see a zero residual and do nothing, and edges to
-  // smaller ids were already decided in earlier rows).  Simulating that
-  // needs one ball scan per still-unmatched row, never G^r itself.
-  const VertexId n = g.num_vertices();
-  graph::PowerView view(g, r);
-  std::vector<char> matched(static_cast<std::size_t>(n), 0);
-  VertexSet cover(n);
-  for (VertexId u = 0; u < n; ++u) {
-    if (matched[static_cast<std::size_t>(u)]) continue;
-    VertexId best = -1;
-    view.for_each_neighbor(u, [&](VertexId v) {
-      if (v > u && !matched[static_cast<std::size_t>(v)] &&
-          (best == -1 || v < best))
-        best = v;
-    });
-    if (best == -1) continue;
-    matched[static_cast<std::size_t>(u)] = 1;
-    matched[static_cast<std::size_t>(best)] = 1;
-    cover.insert(u);
-    cover.insert(best);
-  }
-  return cover;
-}
-
 namespace {
 
-/// Shared core of the implicit weighted local ratio: the Bar-Yehuda–Even
+/// The one core of every local-ratio baseline: the Bar-Yehuda–Even
 /// residual transfer over the edges of G^r — restricted to
-/// {v : active[v]} when `active` is non-null — in for_each_edge order.
-/// The materialized loop walks rows u ascending and each row's sorted
-/// neighbors v > u.  An edge only moves residuals when both endpoints
-/// still hold weight, so rows with residual 0 are pure no-ops (every
-/// delta is 0), a live row only needs its entries v > u with residual
-/// left (inactive vertices start at 0), and it is done the moment its own
-/// residual empties.  While row u runs, only u and the row's own entries
-/// change, so filtering the row before ordering it drops exactly the
-/// zero-delta entries — the skips below change nothing observable.  The
-/// single definition is load-bearing: local_ratio_mwvc_power's
-/// equivalence proofs and solve_gr_mwvc's remainder scoring must stay in
-/// lockstep.
+/// {v : active[v]} when `active` is non-null — in for_each_edge order
+/// (rows u ascending, each row's neighbors v > u ascending).  An edge
+/// only moves residual when both endpoints still hold some, so a row
+/// whose residual is zero is a no-op (inactive vertices start at zero),
+/// a live row only needs its live entries (v > u, residual left), and it
+/// ends the moment its own residual empties.
+///
+/// Row u's live entries come from a cursor merge.  N_{G^r}(u) is the
+/// union of the G-rows of ball_{r-1}[u], minus u (each ball member
+/// other than u lies in a nearer member's row).  Every vertex keeps a
+/// cursor into its sorted G-row; the entries before it are <= an earlier
+/// row's u or have zero residual, and both stay dead for every later
+/// row, so cursors only move forward — O(m) over the whole run.  The
+/// cursor that emptied u is not advanced: its entry may still be live.
 std::vector<Weight> power_residual_transfer(GraphView g, int r,
                                             const VertexWeights& w,
                                             const std::vector<bool>* active) {
+  PG_REQUIRE(r >= 1, "graph power exponent must be >= 1");
+  PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
   const VertexId n = g.num_vertices();
   std::vector<Weight> residual(static_cast<std::size_t>(n), 0);
   for (VertexId v = 0; v < n; ++v) {
@@ -141,33 +97,56 @@ std::vector<Weight> power_residual_transfer(GraphView g, int r,
     if (active == nullptr || (*active)[static_cast<std::size_t>(v)])
       residual[static_cast<std::size_t>(v)] = w[v];
   }
-  graph::PowerView view(g, r);
-  // A ball holds at most n - 1 vertices, so the gather appends with an
-  // unconditional write and a 0/1 size step: whether an entry survives
-  // the filter is a coin flip no branch predicts.
-  std::vector<VertexId> row(static_cast<std::size_t>(n));
+  const auto offsets = g.adjacency_offsets();
+  const VertexId* adjacency = g.adjacency_array().data();
+  std::vector<std::uint32_t> cursor(static_cast<std::size_t>(n), 0);
+  // Entries are (v << 32 | x): row u's entry v, read off x's cursor.
+  std::vector<std::uint64_t> entries;
+  auto push_head = [&](VertexId x, VertexId u) {
+    const auto ux = static_cast<std::size_t>(x);
+    const VertexId* row = adjacency + offsets[ux];
+    const auto size = static_cast<std::uint32_t>(offsets[ux + 1] - offsets[ux]);
+    std::uint32_t& c = cursor[ux];
+    while (c < size &&
+           (row[c] <= u || residual[static_cast<std::size_t>(row[c])] == 0))
+      ++c;
+    if (c == size) return false;
+    entries.push_back(static_cast<std::uint64_t>(row[c]) << 32 |
+                      static_cast<std::uint32_t>(x));
+    return true;
+  };
+  auto transfer = [&](Weight& ru, std::uint64_t entry) {
+    Weight& rv = residual[static_cast<std::size_t>(entry >> 32)];
+    const Weight delta = std::min(ru, rv);
+    ru -= delta;
+    rv -= delta;
+  };
+  std::optional<graph::PowerView> view;
+  if (r > 1) view.emplace(g, r);
   for (VertexId u = 0; u < n; ++u) {
-    auto& ru = residual[static_cast<std::size_t>(u)];
+    Weight& ru = residual[static_cast<std::size_t>(u)];
     if (ru == 0) continue;  // also every inactive u
-    std::size_t size = 0;
-    view.for_each_neighbor(u, [&](VertexId v) {
-      row[size] = v;
-      size += v > u && residual[static_cast<std::size_t>(v)] != 0;
-    });
-    // The CSR row's order is ascending id, but a row usually empties
-    // after a few entries: a min-heap hands them out in that order
-    // without sorting the rest.
-    const auto begin = row.begin();
-    auto end = begin + static_cast<std::ptrdiff_t>(size);
-    std::make_heap(begin, end, std::greater<>());
-    while (begin != end) {
-      std::pop_heap(begin, end, std::greater<>());
-      --end;
-      auto& rv = residual[static_cast<std::size_t>(*end)];
-      const Weight delta = std::min(ru, rv);
-      ru -= delta;
-      rv -= delta;
+    entries.clear();
+    push_head(u, u);
+    if (view)
+      view->for_each_in_ball(u, r - 1, [&](VertexId x) { push_head(x, u); });
+    if (entries.empty()) continue;
+    // Most rows empty on their first entry: a linear scan finds it, and
+    // the rest are ordered only if u survives it.
+    transfer(ru, *std::min_element(entries.begin(), entries.end()));
+    if (ru == 0) continue;
+    // From here on every transfer that does not end the row empties its
+    // entry, so an empty entry is either used up or a duplicate: its
+    // cursor moves on to the next live entry.
+    std::make_heap(entries.begin(), entries.end(), std::greater<>());
+    while (!entries.empty()) {
+      std::pop_heap(entries.begin(), entries.end(), std::greater<>());
+      const std::uint64_t entry = entries.back();
+      entries.pop_back();
+      transfer(ru, entry);
       if (ru == 0) break;
+      if (push_head(static_cast<VertexId>(entry & 0xffffffffu), u))
+        std::push_heap(entries.begin(), entries.end(), std::greater<>());
     }
   }
   return residual;
@@ -175,15 +154,23 @@ std::vector<Weight> power_residual_transfer(GraphView g, int r,
 
 }  // namespace
 
+VertexSet local_ratio_mwvc(GraphView g, const VertexWeights& w) {
+  return local_ratio_mwvc_power(g, 1, w);
+}
+
+VertexSet local_ratio_mvc_power(GraphView g, int r) {
+  return local_ratio_mwvc_power(g, r, VertexWeights(g.num_vertices(), 1));
+}
+
 VertexSet local_ratio_mwvc_power(GraphView g, int r,
                                  const VertexWeights& w) {
-  PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
   const VertexId n = g.num_vertices();
   const std::vector<Weight> residual =
       power_residual_transfer(g, r, w, nullptr);
   VertexSet cover(n);
-  // deg_{G^r}(v) > 0 iff deg_G(v) > 0 for every r >= 1, so the
-  // "non-isolated" membership test needs no ball query.
+  // Zero-residual vertices form the cover; vertices that started at
+  // weight 0 join for free.  deg_{G^r}(v) > 0 iff deg_G(v) > 0, so the
+  // "non-isolated" test needs no ball query.
   for (VertexId v = 0; v < n; ++v)
     if (residual[static_cast<std::size_t>(v)] == 0 && g.degree(v) > 0)
       cover.insert(v);

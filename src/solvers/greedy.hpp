@@ -11,7 +11,10 @@
 
 namespace pg::solvers {
 
-/// Local-ratio 2-approximation for minimum weighted vertex cover [BE83].
+/// Local-ratio 2-approximation for minimum weighted vertex cover [BE83]:
+/// the residual transfer over g's edges in for_each_edge order; the
+/// zero-residual non-isolated vertices form the cover.  Exactly
+/// local_ratio_mwvc_power(g, 1, w), whose core it shares.
 graph::VertexSet local_ratio_mwvc(graph::GraphView g,
                                   const graph::VertexWeights& w);
 
@@ -30,9 +33,10 @@ graph::VertexSet greedy_mwds(graph::GraphView g,
 // against the usual greedy references.  Both are property-tested to equal
 // their materialized counterparts vertex-for-vertex.
 
-/// Exactly local_ratio_mwvc(power(g, r), unit weights): the lexicographic
-/// greedy matching of G^r, simulated edge-order-faithfully with one
-/// truncated BFS per unmatched vertex.  2-approximate MVC of G^r.
+/// Exactly local_ratio_mwvc(power(g, r), unit weights) — the
+/// lexicographic greedy matching of G^r — and exactly
+/// local_ratio_mwvc_power(g, r, unit weights), which computes it.
+/// 2-approximate MVC of G^r.
 graph::VertexSet local_ratio_mvc_power(graph::GraphView g, int r);
 
 /// Exactly greedy_mds(power(g, r)): max-coverage greedy dominating set of
@@ -42,14 +46,17 @@ graph::VertexSet local_ratio_mvc_power(graph::GraphView g, int r);
 graph::VertexSet greedy_mds_power(graph::GraphView g, int r);
 
 /// Exactly local_ratio_mwvc(power(g, r), w): the Bar-Yehuda–Even local
-/// ratio over G^r's edges in for_each_edge order, simulated row by row
-/// with one ball scan per still-positive-residual vertex u.  Only the
-/// ball's entries v > u that still hold residual can move weight, so only
-/// those are kept, and a min-heap hands them out in row (id) order until
-/// u's own residual empties.  Rows whose residual is already zero
-/// contribute only zero deltas and are skipped.  2-approximate weighted
-/// MVC of G^r; with unit weights this is vertex-for-vertex
-/// local_ratio_mvc_power.
+/// ratio over G^r's edges in for_each_edge order, row by row.  Only a
+/// row's live entries — v > u with residual left — can move weight, and
+/// a row ends when u's residual empties.  The entries come from a cursor
+/// merge: every vertex keeps a forward-only cursor into its sorted
+/// G-row, so skipping dead entries costs O(m) over the whole run, and a
+/// live row costs one (r-1)-ball walk (the degree sum of its
+/// (r-2)-ball) plus one cursor head per ball member, and a heap over
+/// those heads only if u outlives its first entry; rows whose residual
+/// is already zero cost nothing.  At r = 1 no ball is walked.  O(n)
+/// scratch: a 4-byte cursor per vertex and one PowerView when r > 1.
+/// 2-approximate weighted MVC of G^r.
 graph::VertexSet local_ratio_mwvc_power(graph::GraphView g, int r,
                                         const graph::VertexWeights& w);
 

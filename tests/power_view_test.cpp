@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "local_ratio_oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
@@ -189,7 +190,7 @@ TEST(PowerView, ImplicitChecksMatchMaterialized) {
         candidates.push_back(std::move(s));
       }
       const graph::VertexWeights unit(g.num_vertices(), 1);
-      VertexSet cover = solvers::local_ratio_mwvc(materialized, unit);
+      VertexSet cover = oracle::local_ratio_mwvc(materialized, unit);
       candidates.push_back(cover);
       if (cover.size() > 0) {
         cover.erase(cover.to_vector().front());
@@ -220,8 +221,12 @@ TEST(PowerView, ImplicitBaselinesMatchMaterialized) {
     for (int r : {2, 3, 4}) {
       const Graph materialized = power(g, r);
       const graph::VertexWeights unit(g.num_vertices(), 1);
+      const auto matching = oracle::local_ratio_mwvc(materialized, unit);
+      EXPECT_EQ(oracle::lexicographic_matching(g, r).to_vector(),
+                matching.to_vector())
+          << "instance " << i << ", r=" << r;
       EXPECT_EQ(solvers::local_ratio_mvc_power(g, r).to_vector(),
-                solvers::local_ratio_mwvc(materialized, unit).to_vector())
+                matching.to_vector())
           << "instance " << i << ", r=" << r;
       EXPECT_EQ(solvers::greedy_mds_power(g, r).to_vector(),
                 solvers::greedy_mds(materialized).to_vector())

@@ -21,8 +21,10 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "local_ratio_oracle.hpp"
 #include "core/gr_mwvc.hpp"
 #include "core/mwvc_congest.hpp"
 #include "graph/cover.hpp"
@@ -34,6 +36,7 @@
 #include "scenario/weights.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
+#include "util/rng.hpp"
 
 namespace pg::scenario {
 namespace {
@@ -159,7 +162,7 @@ TEST(ImplicitWeightedBaselines, MatchMaterializedSolversVertexForVertex) {
           const std::string label = std::string(scenario) + "/r" +
                                     std::to_string(r) + "/" + weighting;
           EXPECT_EQ(solvers::local_ratio_mwvc_power(g, r, w).to_vector(),
-                    solvers::local_ratio_mwvc(gr, w).to_vector())
+                    oracle::local_ratio_mwvc(gr, w).to_vector())
               << label;
           EXPECT_EQ(solvers::greedy_mwds_power(g, r, w).to_vector(),
                     solvers::greedy_mwds(gr, w).to_vector())
@@ -181,8 +184,7 @@ std::vector<VertexId> induced_local_ratio(const Graph& g, int r,
   for (VertexId local = 0; local < induced.graph.num_vertices(); ++local)
     iw.set(local, w[induced.to_original[static_cast<std::size_t>(local)]]);
   std::vector<VertexId> expected;
-  for (VertexId local :
-       solvers::local_ratio_mwvc(induced.graph, iw).to_vector())
+  for (VertexId local : oracle::local_ratio_mwvc(induced.graph, iw).to_vector())
     expected.push_back(induced.to_original[static_cast<std::size_t>(local)]);
   std::sort(expected.begin(), expected.end());
   return expected;
@@ -226,7 +228,7 @@ TEST(ImplicitWeightedBaselines, LocalRatioTwinsHoldAtLargerN) {
           zeros_and_ties.set(v, v % 7 == 0 ? 0 : 1 + (5 * v) % 3);
         EXPECT_EQ(
             solvers::local_ratio_mwvc_power(g, r, zeros_and_ties).to_vector(),
-            solvers::local_ratio_mwvc(gr, zeros_and_ties).to_vector())
+            oracle::local_ratio_mwvc(gr, zeros_and_ties).to_vector())
             << label;
 
         std::vector<VertexId> by_degree(static_cast<std::size_t>(n));
@@ -247,6 +249,96 @@ TEST(ImplicitWeightedBaselines, LocalRatioTwinsHoldAtLargerN) {
             induced_local_ratio(g, r, ties, no_hubs))
             << label;
       }
+}
+
+/// Hub-heavy shapes for the cursor merge, on `hubs` hubs (logical ids
+/// 0..hubs-1) joined to `spokes` spokes, each spoke with a pendant tail:
+/// hubs = 1 is a hub-and-spoke graph, hubs >= 2 is K_{hubs,spokes} (many
+/// paths, so several cursors in one row head the same vertex).  Logical
+/// id v is relabeled to perm[v]; the perm's last two ids stay isolated.
+Graph hub_graph(VertexId hubs, VertexId spokes,
+                const std::vector<VertexId>& perm) {
+  graph::GraphBuilder builder(static_cast<VertexId>(perm.size()));
+  for (VertexId s = 0; s < spokes; ++s) {
+    const VertexId spoke = hubs + 2 * s;
+    for (VertexId h = 0; h < hubs; ++h)
+      builder.add_edge(perm[static_cast<std::size_t>(h)],
+                       perm[static_cast<std::size_t>(spoke)]);
+    builder.add_edge(perm[static_cast<std::size_t>(spoke)],
+                     perm[static_cast<std::size_t>(spoke + 1)]);
+  }
+  return std::move(builder).build();
+}
+
+TEST(ImplicitWeightedBaselines, CursorMergeAdversarialCases) {
+  // Every local-ratio entry point against the edge-by-edge oracle on
+  // G^r, r = 1..4: hubs first, last and shuffled; a heavy low id that
+  // drains several light entries in one row; zero weights; isolated
+  // vertices; and masks that leave the hubs (and zero weights) out.
+  Rng rng(41);
+  for (VertexId hubs : {1, 2, 3})
+    for (int order = 0; order < 3; ++order) {
+      const VertexId spokes = 7;
+      std::vector<VertexId> perm(
+          static_cast<std::size_t>(hubs + 2 * spokes + 2));
+      for (std::size_t i = 0; i < perm.size(); ++i)
+        perm[i] = static_cast<VertexId>(i);
+      if (order == 1) std::reverse(perm.begin(), perm.end());
+      if (order == 2) std::shuffle(perm.begin(), perm.end(), rng);
+      const Graph g = hub_graph(hubs, spokes, perm);
+      const VertexId n = g.num_vertices();
+      std::vector<bool> hub(static_cast<std::size_t>(n), false);
+      for (VertexId h = 0; h < hubs; ++h)
+        hub[static_cast<std::size_t>(perm[static_cast<std::size_t>(h)])] =
+            true;
+
+      std::vector<std::pair<std::string, VertexWeights>> weightings;
+      weightings.emplace_back("unit", VertexWeights(n, 1));
+      VertexWeights heavy_low(n, 1), heavy_hubs(n), zeros(n), random(n);
+      for (VertexId v = 0; v < n; ++v) {
+        if (v < 3) heavy_low.set(v, 50);
+        heavy_hubs.set(v, hub[static_cast<std::size_t>(v)] ? 40 : 1 + v % 3);
+        zeros.set(v, v % 3 == 0 ? 0 : 1 + v % 4);
+        random.set(v, rng.next_int(1, 9));
+      }
+      weightings.emplace_back("heavy-low", heavy_low);
+      weightings.emplace_back("heavy-hubs", heavy_hubs);
+      weightings.emplace_back("zeros", zeros);
+      weightings.emplace_back("random", random);
+      EXPECT_THROW(solvers::local_ratio_mvc_power(g, 0), PreconditionViolation);
+
+      for (int r = 1; r <= 4; ++r) {
+        const Graph gr = graph::power(g, r);
+        for (const auto& [name, w] : weightings) {
+          const std::string label = "hubs=" + std::to_string(hubs) +
+                                    " order=" + std::to_string(order) +
+                                    " r=" + std::to_string(r) + " " + name;
+          const auto expected = oracle::local_ratio_mwvc(gr, w).to_vector();
+          EXPECT_EQ(solvers::local_ratio_mwvc_power(g, r, w).to_vector(),
+                    expected)
+              << label;
+          if (r == 1)
+            EXPECT_EQ(solvers::local_ratio_mwvc(g, w).to_vector(), expected)
+                << label;
+          if (name == "unit") {
+            EXPECT_EQ(solvers::local_ratio_mvc_power(g, r).to_vector(),
+                      expected)
+                << label;
+            EXPECT_EQ(oracle::lexicographic_matching(g, r).to_vector(),
+                      expected)
+                << label;
+          }
+          std::vector<bool> active(static_cast<std::size_t>(n));
+          for (VertexId v = 0; v < n; ++v)
+            active[static_cast<std::size_t>(v)] =
+                w[v] > 0 && !hub[static_cast<std::size_t>(v)];
+          EXPECT_EQ(
+              solvers::local_ratio_mwvc_power_on(g, r, w, active).to_vector(),
+              induced_local_ratio(g, r, w, active))
+              << label;
+        }
+      }
+    }
 }
 
 TEST(ImplicitWeightedBaselines, UnitWeightsDegenerateToUnweightedTwins) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "local_ratio_oracle.hpp"
 #include "graph/cover.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
@@ -496,6 +497,7 @@ TEST(Greedy, LocalRatioIsTwoApproximate) {
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       w.set(v, rng.next_int(1, 8));
     const VertexSet cover = local_ratio_mwvc(g, w);
+    EXPECT_EQ(cover.to_vector(), oracle::local_ratio_mwvc(g, w).to_vector());
     EXPECT_TRUE(graph::is_vertex_cover(g, cover));
     const Weight opt = brute_force_mwvc_weight(g, w);
     EXPECT_LE(cover.weight(w), 2 * opt);
