@@ -8,6 +8,7 @@
 
 #include "congest/network.hpp"
 #include "core/gr_mvc.hpp"
+#include "core/gr_mwvc.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
 #include "graph/power_view.hpp"
@@ -87,20 +88,22 @@ void BM_ExactMwdsOnSquare(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactMwdsOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
-// The implicit-power-graph headline: (1+eps)-approximate MVC of G^2 on a
-// power-law Chung-Lu graph without ever materializing G^2 (the n = 10^5
+// The implicit-power-graph headline: (1+eps)-approximate MVC of G^r on a
+// power-law Chung-Lu graph without ever materializing G^r (the n = 10^5
 // instance's square holds ~1.4e7 edges; the seed implementation stalled
-// for minutes here).  Guards the PowerView worklist path in solve_gr_mvc.
+// for minutes here).  Guards the PowerView worklist path in solve_gr_mvc
+// and its remainder solve.  Args: {n, r}.
 void BM_GrMvcLarge(benchmark::State& state) {
   Rng rng(6);
   const Graph g = graph::link_components(graph::chung_lu(
       static_cast<graph::VertexId>(state.range(0)), 2.5, 4.0, rng));
+  const int r = static_cast<int>(state.range(1));
   for (auto _ : state)
-    benchmark::DoNotOptimize(pg::core::solve_gr_mvc(g, 2, 0.25));
+    benchmark::DoNotOptimize(pg::core::solve_gr_mvc(g, r, 0.25));
 }
 BENCHMARK(BM_GrMvcLarge)
-    ->Arg(4096)
-    ->Arg(100000)
+    ->ArgNames({"n", "r"})
+    ->ArgsProduct({{4096, 100000}, {2, 3}})
     ->Unit(benchmark::kMillisecond);
 
 // The implicit G^r layer (PowerView ball probes) on the input shape of
@@ -138,6 +141,22 @@ void BM_LocalRatioMwvcPower(benchmark::State& state) {
 BENCHMARK(BM_LocalRatioMwvcPower)
     ->ArgNames({"n", "r", "unit"})
     ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3, 4}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// gr-mwvc on the PowerView benches' graph and weights, the shape of
+// perfbench's implicit-powerlaw workload: the weight-class worklist, then
+// the remainder solve (exact on small components of G^r[R], one local
+// ratio over the rest).  Args: {n, r}.
+void BM_GrMwvcLarge(benchmark::State& state) {
+  const Graph g = power_view_bench_graph(state);
+  const graph::VertexWeights w = exact_bench_weights(g);
+  const int r = static_cast<int>(state.range(1));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(pg::core::solve_gr_mwvc(g, r, w, 0.25));
+}
+BENCHMARK(BM_GrMwvcLarge)
+    ->ArgNames({"n", "r"})
+    ->ArgsProduct({{1 << 12, 1 << 14}, {2, 3}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CongestBroadcastRound(benchmark::State& state) {

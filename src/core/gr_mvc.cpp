@@ -2,39 +2,14 @@
 
 #include <cmath>
 
-#include "core/solver_util.hpp"
-#include "graph/ops.hpp"
+#include "core/remainder.hpp"
 #include "graph/power_view.hpp"
-#include "solvers/exact_vc.hpp"
-#include "solvers/greedy.hpp"
 
 namespace pg::core {
 
-using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
 using graph::VertexSet;
-
-namespace {
-
-/// Solves MVC on one remainder component (a subgraph of the induced power
-/// graph), exactly when small enough and within budget, by local ratio
-/// otherwise.  Returns the component's cover in component-local ids.
-VertexSet solve_component(GraphView comp, VertexId max_exact,
-                          std::int64_t& budget, bool& optimal) {
-  if (comp.num_vertices() > max_exact || budget <= 0) {
-    optimal = false;
-    const graph::VertexWeights unit(comp.num_vertices(), 1);
-    return solvers::local_ratio_mwvc(comp, unit);
-  }
-  const auto exact =
-      solvers::solve_mvc(comp, component_budget(comp.num_vertices(), budget));
-  budget -= exact.nodes_explored;
-  if (!exact.optimal) optimal = false;
-  return exact.solution;
-}
-
-}  // namespace
 
 GrMvcResult solve_gr_mvc(GraphView g, int r, double epsilon,
                          std::int64_t exact_node_budget,
@@ -83,42 +58,11 @@ GrMvcResult solve_gr_mvc(GraphView g, int r, double epsilon,
   }
   result.phase1_size = result.cover.size();
 
-  // Phase 2: solve the remainder.  Only the remainder-induced power
-  // subgraph is ever built (truncated BFS from remainder vertices) — the
-  // full G^r is never materialized on this path.  The induced graph
-  // splits into components; each is solved exactly under the node budget
-  // when small, by the local-ratio 2-approximation otherwise
-  // (remainder_optimal reports which happened, as with a budget abort).
-  std::vector<VertexId> remainder;
-  for (std::size_t v = 0; v < un; ++v)
-    if (in_r[v]) remainder.push_back(static_cast<VertexId>(v));
-  result.remainder_size = remainder.size();
-  const auto induced = graph::induced_power_subgraph(g, r, remainder);
-  std::int64_t budget = exact_node_budget;
-  const auto comps = graph::connected_components(induced.graph);
-  if (comps.count <= 1) {
-    const VertexSet cover = solve_component(
-        induced.graph, max_exact_component, budget, result.remainder_optimal);
-    for (VertexId local : cover.to_vector())
-      result.cover.insert(
-          induced.to_original[static_cast<std::size_t>(local)]);
-  } else {
-    std::vector<std::vector<VertexId>> members(
-        static_cast<std::size_t>(comps.count));
-    for (VertexId v = 0; v < induced.graph.num_vertices(); ++v)
-      members[static_cast<std::size_t>(
-                  comps.component[static_cast<std::size_t>(v)])]
-          .push_back(v);
-    for (const std::vector<VertexId>& comp_vertices : members) {
-      const auto comp =
-          graph::induced_subgraph(induced.graph, comp_vertices);
-      const VertexSet cover = solve_component(
-          comp.graph, max_exact_component, budget, result.remainder_optimal);
-      for (VertexId local : cover.to_vector())
-        result.cover.insert(induced.to_original[static_cast<std::size_t>(
-            comp.to_original[static_cast<std::size_t>(local)])]);
-    }
-  }
+  // Phase 2: the remainder, one component of G^r[R] at a time.
+  for (bool left : in_r) result.remainder_size += left;
+  result.remainder_optimal =
+      solve_power_remainder(view, nullptr, in_r, exact_node_budget,
+                            max_exact_component, result.cover);
 
   PG_CHECK(graph::is_vertex_cover_power(g, r, result.cover),
            "G^r ball cover is not a vertex cover");

@@ -5,39 +5,19 @@
 #include <deque>
 #include <limits>
 
+#include "core/remainder.hpp"
 #include "core/solver_util.hpp"
-#include "graph/ops.hpp"
 #include "graph/power_view.hpp"
-#include "util/cancel.hpp"
-#include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
+#include "util/cancel.hpp"
 
 namespace pg::core {
 
-using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
 using graph::VertexSet;
 using graph::VertexWeights;
 using graph::Weight;
-
-namespace {
-
-VertexSet solve_component_weighted(GraphView comp, const VertexWeights& cw,
-                                   VertexId max_exact, std::int64_t& budget,
-                                   bool& optimal) {
-  if (comp.num_vertices() > max_exact || budget <= 0) {
-    optimal = false;
-    return solvers::local_ratio_mwvc(comp, cw);
-  }
-  const auto exact = solvers::solve_mwvc(
-      comp, cw, component_budget(comp.num_vertices(), budget));
-  budget -= exact.nodes_explored;
-  if (!exact.optimal) optimal = false;
-  return exact.solution;
-}
-
-}  // namespace
 
 GrMwvcResult solve_gr_mwvc(GraphView g, int r, const VertexWeights& w,
                            double epsilon, std::int64_t exact_node_budget,
@@ -156,62 +136,19 @@ GrMwvcResult solve_gr_mwvc(GraphView g, int r, const VertexWeights& w,
   }
   result.phase1_size = result.cover.size();
 
-  // Phase 2: the remainder.  Small remainders materialize their induced
-  // power subgraph and solve per component (exact under the caps, local
-  // ratio above); a remainder too large to materialize runs the
-  // restricted implicit local ratio instead — O(Σ remainder balls) work,
-  // O(n) memory, and the (2+ε) bound.
-  std::vector<VertexId> remainder;
-  for (std::size_t v = 0; v < un; ++v)
-    if (in_r[v]) remainder.push_back(static_cast<VertexId>(v));
-  result.remainder_size = remainder.size();
-
-  if (remainder.size() > max_remainder_materialize) {
-    // Remainder weights are strictly positive (zero-weight vertices left
-    // in phase 0), which is exactly the restricted solver's contract.
+  // Phase 2: the remainder, one component of G^r[R] at a time.  A
+  // remainder above max_remainder_materialize goes to local ratio whole.
+  // Its weights are positive: zero-weight vertices left in phase 0.
+  for (bool left : in_r) result.remainder_size += left;
+  if (result.remainder_size > max_remainder_materialize) {
     result.remainder_optimal = false;
     const VertexSet remainder_cover =
         solvers::local_ratio_mwvc_power_on(g, r, w, in_r);
     for (VertexId v : remainder_cover.to_vector()) result.cover.insert(v);
   } else {
-    const auto induced = graph::induced_power_subgraph(g, r, remainder);
-    std::int64_t budget = exact_node_budget;
-    const auto comps = graph::connected_components(induced.graph);
-    auto weight_of_local = [&](VertexId local) {
-      return w[induced.to_original[static_cast<std::size_t>(local)]];
-    };
-    if (comps.count <= 1) {
-      VertexWeights iw(induced.graph.num_vertices());
-      for (VertexId v = 0; v < induced.graph.num_vertices(); ++v)
-        iw.set(v, weight_of_local(v));
-      const VertexSet cover =
-          solve_component_weighted(induced.graph, iw, max_exact_component,
-                                   budget, result.remainder_optimal);
-      for (VertexId local : cover.to_vector())
-        result.cover.insert(
-            induced.to_original[static_cast<std::size_t>(local)]);
-    } else {
-      std::vector<std::vector<VertexId>> comp_members(
-          static_cast<std::size_t>(comps.count));
-      for (VertexId v = 0; v < induced.graph.num_vertices(); ++v)
-        comp_members[static_cast<std::size_t>(
-                         comps.component[static_cast<std::size_t>(v)])]
-            .push_back(v);
-      for (const std::vector<VertexId>& comp_vertices : comp_members) {
-        const auto comp =
-            graph::induced_subgraph(induced.graph, comp_vertices);
-        VertexWeights cw(comp.graph.num_vertices());
-        for (VertexId v = 0; v < comp.graph.num_vertices(); ++v)
-          cw.set(v,
-                 weight_of_local(comp.to_original[static_cast<std::size_t>(v)]));
-        const VertexSet cover =
-            solve_component_weighted(comp.graph, cw, max_exact_component,
-                                     budget, result.remainder_optimal);
-        for (VertexId local : cover.to_vector())
-          result.cover.insert(induced.to_original[static_cast<std::size_t>(
-              comp.to_original[static_cast<std::size_t>(local)])]);
-      }
-    }
+    result.remainder_optimal =
+        solve_power_remainder(view, &w, in_r, exact_node_budget,
+                              max_exact_component, result.cover);
   }
 
   PG_CHECK(graph::is_vertex_cover_power(g, r, result.cover),

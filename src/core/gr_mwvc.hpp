@@ -15,14 +15,15 @@
 // 2-hop winner separation is needed centrally.  Zero-weight vertices
 // join the cover for free up front, as the paper assumes w.l.o.g.
 //
-// Phase 2 solves the remainder exactly per connected component of the
-// remainder-induced power subgraph (budget- and size-capped, like
-// core::solve_gr_mvc), falling back to the local-ratio 2-approximation
-// above the caps — and skipping the materialization entirely for very
-// large remainders, where the restricted implicit local ratio runs in
-// O(Σ remainder balls) with O(n) memory.  With an exact remainder the
-// total is (1+ε)·OPT_w; with a local-ratio remainder, (2+ε)·OPT_w —
-// `remainder_optimal` reports which bound applies.
+// Phase 2 is core::solve_gr_mvc's remainder solve, weighted
+// (core::solve_power_remainder): exact per connected component of the
+// remainder's power subgraph, budget- and size-capped, with the
+// local-ratio 2-approximation for the components above the caps.  A very
+// large remainder skips the exact attempts and runs the restricted
+// implicit local ratio whole, in O(Σ remainder balls) with O(n) memory.
+// With an exact remainder the total is (1+ε)·OPT_w; with a local-ratio
+// remainder, (2+ε)·OPT_w — `remainder_optimal` reports which bound
+// applies.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +49,11 @@ struct GrMwvcResult {
 /// ε in (0, 1], w >= 0 with w(v) <= int64_max / n so class sums cannot
 /// overflow), (1+ε) when the remainder solves exactly.  Implicit
 /// end-to-end: the class phase re-checks only centers whose balls lost a
-/// vertex (a worklist over truncated-BFS balls), and the remainder is
-/// materialized only when it is small enough
-/// (<= max_remainder_materialize vertices) to hand to the per-component
-/// exact solver.
+/// vertex (a worklist over truncated-BFS balls).  A remainder of at most
+/// `max_remainder_materialize` vertices is solved per component: only
+/// components within `max_exact_component` vertices are materialized,
+/// one at a time, and solved exactly while the node budget lasts; the
+/// others, and any larger remainder as a whole, take local ratio.
 GrMwvcResult solve_gr_mwvc(graph::GraphView g, int r,
                            const graph::VertexWeights& w, double epsilon,
                            std::int64_t exact_node_budget = 50'000'000,

@@ -1,11 +1,9 @@
 // Small helpers shared by the paper's solver implementations.  Each has
 // a semantics contract another implementation mirrors (the CONGEST and
-// centralized Theorem 7 paths must bucket weights identically; the two
-// G^r exact phases must slice budgets identically), so there is exactly
-// one definition.
+// centralized Theorem 7 paths must bucket weights identically), so there
+// is exactly one definition.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "graph/graph.hpp"
@@ -26,17 +24,6 @@ inline int weight_class(graph::Weight w_min, graph::Weight w) {
     ++i;
   }
   return i;
-}
-
-/// Node budget for one remainder component of a G^r exact phase: small
-/// components (where seed behavior must be preserved bit for bit) may
-/// spend the whole remaining budget, larger ones get a size-scaled slice
-/// so a single stubborn component cannot burn minutes before giving up.
-inline std::int64_t component_budget(graph::VertexId comp_size,
-                                     std::int64_t remaining) {
-  if (comp_size <= 64) return remaining;
-  return std::min<std::int64_t>(
-      remaining, std::max<std::int64_t>(50'000, 64'000'000 / comp_size));
 }
 
 }  // namespace pg::core

@@ -143,7 +143,9 @@ class GraphBuilder {
 class Graph : public GraphView {
  public:
   Graph() = default;
-  Graph(const Graph& other) { adopt(other.offsets_store_, other.adjacency_store_); }
+  Graph(const Graph& other) : GraphView() {
+    adopt(other.offsets_store_, other.adjacency_store_);
+  }
   Graph(Graph&& other) noexcept { adopt(std::move(other.offsets_store_), std::move(other.adjacency_store_)); }
   Graph& operator=(const Graph& other) {
     if (this != &other) adopt(other.offsets_store_, other.adjacency_store_);

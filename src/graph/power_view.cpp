@@ -158,18 +158,24 @@ InducedSubgraph induced_power_subgraph(GraphView g, int r,
     result.to_original.push_back(v);
   }
 
-  // Truncated BFS from each subset vertex over the *full* graph (shortest
-  // paths may leave the subset), recording reached subset members as new
-  // ids.  Sources run in ascending new id, so the same counting transpose
-  // as detail::power_sparse emits every CSR row already sorted.
-  const std::size_t k = result.to_original.size();
   PowerView view(g, r);
+  result.graph = induced_power_graph(view, result.to_original, result.to_new);
+  return result;
+}
+
+Graph induced_power_graph(PowerView& view, std::span<const VertexId> members,
+                          std::span<const VertexId> local) {
+  // Truncated BFS from each member over the *full* graph (shortest paths
+  // may leave the subset), recording reached members as local ids.
+  // Sources run in ascending local id, so the same counting transpose as
+  // detail::power_sparse emits every CSR row already sorted.
+  const std::size_t k = members.size();
   std::vector<VertexId> hits;
   std::vector<std::size_t> run_end(k + 1, 0);
   for (std::size_t s = 0; s < k; ++s) {
-    view.for_each_in_ball(result.to_original[s], r, [&](VertexId w) {
-      const VertexId w_new = result.to_new[static_cast<std::size_t>(w)];
-      if (w_new != -1) hits.push_back(w_new);
+    view.for_each_in_ball(members[s], view.power(), [&](VertexId w) {
+      const VertexId w_local = local[static_cast<std::size_t>(w)];
+      if (w_local != -1) hits.push_back(w_local);
     });
     run_end[s + 1] = hits.size();
   }
@@ -183,9 +189,7 @@ InducedSubgraph induced_power_subgraph(GraphView g, int r,
     for (std::size_t i = run_end[s]; i < run_end[s + 1]; ++i)
       adjacency[cursor[static_cast<std::size_t>(hits[i])]++] =
           static_cast<VertexId>(s);
-  result.graph =
-      Graph::from_csr(std::move(offsets), std::move(adjacency));
-  return result;
+  return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 
 namespace {
@@ -268,6 +272,66 @@ bool is_dominating_set_power(GraphView g, int r, const VertexSet& s) {
   for (int d : bfs.dist)
     if (d == -1) return false;
   return true;
+}
+
+PowerComponents power_components(GraphView g, int r,
+                                 const std::vector<bool>& mask) {
+  PG_REQUIRE(r >= 1, "graph power exponent must be >= 1");
+  const auto un = static_cast<std::size_t>(g.num_vertices());
+  PG_REQUIRE(mask.size() == un, "mask/graph size mismatch");
+  std::vector<VertexId> sources;
+  for (std::size_t v = 0; v < un; ++v)
+    if (mask[v]) sources.push_back(static_cast<VertexId>(v));
+  const MultiSourceBfs bfs(g, sources, r / 2);
+
+  // Union-find over the sources, always linking under the smaller root,
+  // so every root is its set's smallest member.
+  std::vector<VertexId> parent(un, -1);
+  for (VertexId s : sources) parent[static_cast<std::size_t>(s)] = s;
+  auto find = [&](VertexId v) {
+    while (parent[static_cast<std::size_t>(v)] != v) {
+      auto& up = parent[static_cast<std::size_t>(v)];
+      up = parent[static_cast<std::size_t>(up)];  // path halving
+      v = up;
+    }
+    return v;
+  };
+  g.for_each_edge([&](VertexId x, VertexId y) {
+    const VertexId lx = bfs.label[static_cast<std::size_t>(x)];
+    const VertexId ly = bfs.label[static_cast<std::size_t>(y)];
+    if (lx == -1 || ly == -1 || lx == ly ||
+        bfs.dist[static_cast<std::size_t>(x)] +
+                bfs.dist[static_cast<std::size_t>(y)] + 1 >
+            r)
+      return;
+    const VertexId rx = find(lx), ry = find(ly);
+    if (rx != ry)
+      parent[static_cast<std::size_t>(std::max(rx, ry))] = std::min(rx, ry);
+  });
+
+  // Sources ascending: a root opens its component before any other
+  // member appears.  Count, prefix-sum, then place in the same order.
+  std::vector<VertexId> id(un, -1);
+  PowerComponents result;
+  for (VertexId s : sources) {
+    const VertexId root = find(s);
+    auto& root_id = id[static_cast<std::size_t>(root)];
+    if (root == s) {
+      root_id = static_cast<VertexId>(result.offsets.size() - 1);
+      result.offsets.push_back(0);
+    }
+    id[static_cast<std::size_t>(s)] = root_id;
+    ++result.offsets[static_cast<std::size_t>(root_id) + 1];
+  }
+  for (std::size_t c = 1; c < result.offsets.size(); ++c)
+    result.offsets[c] += result.offsets[c - 1];
+  result.members.resize(sources.size());
+  std::vector<std::size_t> cursor(result.offsets.begin(),
+                                  result.offsets.end() - 1);
+  for (VertexId s : sources)
+    result.members[cursor[static_cast<std::size_t>(
+        id[static_cast<std::size_t>(s)])]++] = s;
+  return result;
 }
 
 }  // namespace pg::graph

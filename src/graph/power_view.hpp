@@ -5,13 +5,13 @@
 // larger than |E(G)|, so the implicit oracle is the difference between a
 // few O(n)-sized scratch arrays and a multi-gigabyte CSR.
 //
-// The free functions cover the two operations the experiment layer needs
-// on top of raw balls: feasibility checks on G^r (vertex cover /
-// domination) in O(n + m) via truncated multi-source BFS, and the
-// remainder-induced power subgraph (BFS only from subset vertices) that
-// `core::solve_gr_mvc`'s exact phase consumes.  All of them are
-// property-tested to agree exactly with `graph::power` + the materialized
-// checks.
+// The free functions cover what the experiment layer needs on top of raw
+// balls: feasibility checks on G^r (vertex cover / domination) and the
+// components of a subset's induced power subgraph, each in O(n + m) via
+// truncated multi-source BFS, and induced power subgraphs (BFS only from
+// subset vertices), which `core::solve_power_remainder` builds one small
+// component at a time.  All of them are property-tested to agree exactly
+// with `graph::power` + the materialized operations.
 #pragma once
 
 #include <span>
@@ -117,6 +117,38 @@ class PowerView {
 /// subset vertex (the degree sum of its (r-1)-ball) instead of |E(G^r)|.
 InducedSubgraph induced_power_subgraph(GraphView g, int r,
                                        std::span<const VertexId> vertices);
+
+/// The graph of induced_power_subgraph(view.base(), view.power(),
+/// members), given its id map: `local[v]` is v's index in `members` for
+/// every member and -1 for every other vertex of G.  Allocates only
+/// |members|- and |E|-sized arrays, so a caller that keeps one PowerView
+/// and one local-id array can build many small subgraphs of a large G.
+Graph induced_power_graph(PowerView& view, std::span<const VertexId> members,
+                          std::span<const VertexId> local);
+
+/// The connected components of G^r[S], S = {v : mask[v]}, as a CSR:
+/// component c is members[offsets[c], offsets[c+1]).  Components are
+/// ordered by their smallest member and list their members ascending —
+/// the numbering and order of
+/// `connected_components(induced_power_subgraph(g, r, S ascending))`.
+struct PowerComponents {
+  std::vector<std::size_t> offsets{0};
+  std::vector<VertexId> members;
+
+  std::size_t count() const { return offsets.size() - 1; }
+  std::span<const VertexId> operator[](std::size_t c) const {
+    return std::span<const VertexId>(members).subspan(
+        offsets[c], offsets[c + 1] - offsets[c]);
+  }
+};
+
+/// power_components without G^r[S]: one multi-source BFS from S truncated
+/// at depth r/2, then one union-find pass over G's edges joining the
+/// sources of x and y whenever dist(x) + dist(y) + 1 <= r — the witness
+/// rule of is_vertex_cover_power, exact for connectivity (every edge of a
+/// shortest path of length <= r between members satisfies it).  O(n + m).
+PowerComponents power_components(GraphView g, int r,
+                                 const std::vector<bool>& mask);
 
 /// True iff `s` covers every edge of G^r, i.e. the non-members are
 /// pairwise at distance > r in G.  One truncated multi-source BFS from

@@ -66,8 +66,9 @@ graph::VertexSet local_ratio_mwvc_power(graph::GraphView g, int r,
 /// mapped back to original ids.  Requires strictly positive weights on
 /// the active vertices (a zero-weight active would need an
 /// induced-degree probe to reproduce the materialized membership rule).
-/// `local_ratio_mwvc_power` is the all-active case; core::solve_gr_mwvc
-/// scores unmaterializably large remainders through this.
+/// `local_ratio_mwvc_power` is the all-active case.  The G^r solvers'
+/// remainder solve (core::solve_power_remainder) covers every component
+/// it does not solve exactly through one call of this.
 graph::VertexSet local_ratio_mwvc_power_on(graph::GraphView g, int r,
                                            const graph::VertexWeights& w,
                                            const std::vector<bool>& active);

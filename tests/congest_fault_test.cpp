@@ -93,7 +93,7 @@ InboxLog run_broadcasts(Network& net, int rounds, std::int64_t kind = 10) {
       for (const Incoming& in : node.inbox())
         log.push_back({node.id(), in.from, in.msg.kind,
                        in.msg.num_fields > 0 ? in.msg.at(0) : -1});
-      node.broadcast(Message{kind, {node.id()}});
+      node.broadcast(Message{static_cast<std::uint8_t>(kind), {node.id()}});
     });
   }
   return log;

@@ -1,8 +1,9 @@
 // Property tests for the implicit power-graph layer: PowerView adjacency,
-// the remainder-induced power subgraph, the implicit cover/domination
-// checks, and the implicit greedy baselines must all agree exactly with
-// the materialized graph::power path across random and structured
-// instances for r in {2, 3, 4} (and the r = 1 edge case).  The threaded
+// the remainder-induced power subgraph and its components (found without
+// building it), the implicit cover/domination checks, and the implicit
+// greedy baselines must all agree exactly with the materialized
+// graph::power path across random and structured instances for r in
+// {2, 3, 4} (and the r = 1 edge case; components up to r = 5).  The threaded
 // power_sparse pass is pinned byte-identical to the serial one here too.
 #include <gtest/gtest.h>
 
@@ -172,6 +173,85 @@ TEST(PowerView, InducedPowerSubgraphMatchesMaterialized) {
   }
 }
 
+/// A star whose leaves each grow a path of `tail` more vertices, plus two
+/// isolated vertices at the end: a hub whose balls reach everything, and
+/// long thin arms that split into many components under sparse masks.
+Graph star_with_tails(VertexId leaves, VertexId tail) {
+  GraphBuilder b(1 + leaves * (tail + 1) + 2);
+  VertexId next = 1;
+  for (VertexId leaf = 0; leaf < leaves; ++leaf) {
+    VertexId prev = 0;
+    for (VertexId step = 0; step <= tail; ++step) {
+      b.add_edge(prev, next);
+      prev = next++;
+    }
+  }
+  return std::move(b).build();
+}
+
+TEST(PowerView, PowerComponentsMatchMaterialized) {
+  Rng rng(241);
+  std::vector<Graph> instances;
+  instances.push_back(gnp(60, 2.0 / 60, rng));  // disconnected, isolated
+  instances.push_back(barabasi_albert(70, 2, rng));
+  instances.push_back(random_tree(80, rng));
+  instances.push_back(grid_graph(7, 9));
+  instances.push_back(star_with_tails(6, 5));
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Graph& g = instances[i];
+    const auto un = static_cast<std::size_t>(g.num_vertices());
+    for (int r : {1, 2, 3, 4, 5}) {
+      for (double keep : {0.0, 0.15, 0.4, 0.7, 1.0}) {
+        std::vector<bool> mask(un);
+        std::vector<VertexId> subset;
+        for (std::size_t v = 0; v < un; ++v) {
+          mask[v] = keep == 1.0 || rng.next_double() < keep;
+          if (mask[v]) subset.push_back(static_cast<VertexId>(v));
+        }
+        const std::string label = "instance " + std::to_string(i) +
+                                  ", r=" + std::to_string(r) +
+                                  ", keep=" + std::to_string(keep);
+        const auto induced = induced_power_subgraph(g, r, subset);
+        const auto want = connected_components(induced.graph);
+        std::vector<std::vector<VertexId>> want_members(
+            static_cast<std::size_t>(want.count));
+        for (std::size_t v = 0; v < subset.size(); ++v)
+          want_members[static_cast<std::size_t>(want.component[v])]
+              .push_back(subset[v]);
+
+        const PowerComponents got = power_components(g, r, mask);
+        ASSERT_EQ(got.count(), want_members.size()) << label;
+        ASSERT_EQ(got.members.size(), subset.size()) << label;
+        // One PowerView and one local-id array serve every component.
+        PowerView view(g, r);
+        std::vector<VertexId> local(un, -1);
+        for (std::size_t c = 0; c < got.count(); ++c) {
+          const auto members = got[c];
+          ASSERT_EQ(std::vector<VertexId>(members.begin(), members.end()),
+                    want_members[c])
+              << label << ", component " << c;
+          for (std::size_t k = 0; k < members.size(); ++k)
+            local[static_cast<std::size_t>(members[k])] =
+                static_cast<VertexId>(k);
+          const Graph comp = induced_power_graph(view, members, local);
+          for (VertexId v : members) local[static_cast<std::size_t>(v)] = -1;
+          const auto alone = induced_power_subgraph(g, r, members);
+          ASSERT_EQ(comp.num_vertices(), alone.graph.num_vertices());
+          ASSERT_EQ(comp.num_edges(), alone.graph.num_edges())
+              << label << ", component " << c;
+          for (VertexId v = 0; v < comp.num_vertices(); ++v) {
+            const auto a = comp.neighbors(v);
+            const auto b = alone.graph.neighbors(v);
+            ASSERT_EQ(std::vector<VertexId>(a.begin(), a.end()),
+                      std::vector<VertexId>(b.begin(), b.end()))
+                << label << ", component " << c << ", vertex " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PowerView, ImplicitChecksMatchMaterialized) {
   Rng rng(229);
   const auto instances = test_instances();
@@ -287,6 +367,10 @@ TEST(PowerView, RejectsBadArguments) {
                PreconditionViolation);
   std::vector<VertexId> dup = {1, 1};
   EXPECT_THROW(induced_power_subgraph(g, 2, dup), PreconditionViolation);
+  EXPECT_THROW(power_components(g, 0, std::vector<bool>(4)),
+               PreconditionViolation);
+  EXPECT_THROW(power_components(g, 2, std::vector<bool>(3)),
+               PreconditionViolation);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <string>
@@ -27,6 +28,7 @@
 #include "local_ratio_oracle.hpp"
 #include "core/gr_mwvc.hpp"
 #include "core/mwvc_congest.hpp"
+#include "core/remainder.hpp"
 #include "graph/cover.hpp"
 #include "graph/power.hpp"
 #include "graph/power_view.hpp"
@@ -36,6 +38,7 @@
 #include "scenario/weights.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace pg::scenario {
@@ -520,6 +523,27 @@ TEST(GrMwvc, ZeroWeightVerticesJoinForFree) {
   EXPECT_TRUE(result.cover.contains(3));
   EXPECT_TRUE(result.cover.contains(7));
   EXPECT_TRUE(graph::is_vertex_cover_power(g, 2, result.cover));
+}
+
+TEST(GrMwvc, UnwindsUnderExpiredCancelToken) {
+  const Graph g = build_scenario("chung-lu", 2000, 5);
+  const VertexWeights w = weighting_or_throw("zipf").build(g, 5);
+  {
+    const std::atomic<bool> expired{true};
+    const cancel::Scope scope(&expired);
+    EXPECT_THROW(core::solve_gr_mwvc(g, 3, w, 0.25), cancel::Cancelled);
+    // The remainder solve on its own polls too.
+    graph::PowerView view(g, 3);
+    graph::VertexSet cover(g.num_vertices());
+    const std::vector<bool> all(static_cast<std::size_t>(g.num_vertices()),
+                                true);
+    EXPECT_THROW(
+        core::solve_power_remainder(view, &w, all, 1'000'000, 1024, cover),
+        cancel::Cancelled);
+  }
+  // Nothing outlives the interrupted run: the next one covers G^3.
+  const auto result = core::solve_gr_mwvc(g, 3, w, 0.25);
+  EXPECT_TRUE(graph::is_vertex_cover_power(g, 3, result.cover));
 }
 
 TEST(MwvcCongest, LargeWeightsNearTheCapTokenEncodeCorrectly) {
