@@ -8,7 +8,6 @@
 #include "core/remainder.hpp"
 #include "core/solver_util.hpp"
 #include "graph/power_view.hpp"
-#include "solvers/greedy.hpp"
 #include "util/cancel.hpp"
 
 namespace pg::core {
@@ -136,20 +135,16 @@ GrMwvcResult solve_gr_mwvc(GraphView g, int r, const VertexWeights& w,
   }
   result.phase1_size = result.cover.size();
 
-  // Phase 2: the remainder, one component of G^r[R] at a time.  A
-  // remainder above max_remainder_materialize goes to local ratio whole.
-  // Its weights are positive: zero-weight vertices left in phase 0.
+  // Phase 2: the remainder, one component of G^r[R] at a time (its
+  // weights are positive: zero-weight vertices left in phase 0).  A
+  // remainder above max_remainder_materialize attempts no exact solve, so
+  // local ratio covers it whole.
   for (bool left : in_r) result.remainder_size += left;
-  if (result.remainder_size > max_remainder_materialize) {
-    result.remainder_optimal = false;
-    const VertexSet remainder_cover =
-        solvers::local_ratio_mwvc_power_on(g, r, w, in_r);
-    for (VertexId v : remainder_cover.to_vector()) result.cover.insert(v);
-  } else {
-    result.remainder_optimal =
-        solve_power_remainder(view, &w, in_r, exact_node_budget,
-                              max_exact_component, result.cover);
-  }
+  const VertexId exact_cap = result.remainder_size > max_remainder_materialize
+                                 ? 0
+                                 : max_exact_component;
+  result.remainder_optimal = solve_power_remainder(
+      view, &w, in_r, exact_node_budget, exact_cap, result.cover);
 
   PG_CHECK(graph::is_vertex_cover_power(g, r, result.cover),
            "G^r weighted class cover is not a vertex cover");
