@@ -12,7 +12,9 @@
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
 #include "graph/power_view.hpp"
+#include "scenario/scenario.hpp"
 #include "solvers/exact_ds.hpp"
+#include "solvers/exact_memo.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
 #include "util/rng.hpp"
@@ -44,6 +46,10 @@ void BM_GnpGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_GnpGenerate)->Arg(128)->Arg(512);
 
+// Empties this thread's exact-solver memo, so a bench that solves the same
+// instance every iteration keeps timing the search, not a memo hit.
+void forget_exact_solves() { solvers::detail::ExactMemoSeam::clear(); }
+
 // The exact branch-and-bound kernels on G^2 of a connected G(n, 0.15) —
 // the oracle grid's instance sizes (n <= 64, inside util::Bitset's inline
 // capacity, so search nodes allocate nothing).  The weighted twins draw
@@ -64,29 +70,68 @@ graph::VertexWeights exact_bench_weights(const Graph& g) {
 
 void BM_ExactMvcOnSquare(benchmark::State& state) {
   const Graph sq = exact_bench_square(state, 3);
-  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mvc(sq));
+  for (auto _ : state) {
+    forget_exact_solves();
+    benchmark::DoNotOptimize(solvers::solve_mvc(sq));
+  }
 }
 BENCHMARK(BM_ExactMvcOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 void BM_ExactMwvcOnSquare(benchmark::State& state) {
   const Graph sq = exact_bench_square(state, 3);
   const graph::VertexWeights w = exact_bench_weights(sq);
-  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mwvc(sq, w));
+  for (auto _ : state) {
+    forget_exact_solves();
+    benchmark::DoNotOptimize(solvers::solve_mwvc(sq, w));
+  }
 }
 BENCHMARK(BM_ExactMwvcOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 void BM_ExactMdsOnSquare(benchmark::State& state) {
   const Graph sq = exact_bench_square(state, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mds(sq));
+  for (auto _ : state) {
+    forget_exact_solves();
+    benchmark::DoNotOptimize(solvers::solve_mds(sq));
+  }
 }
 BENCHMARK(BM_ExactMdsOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
 
 void BM_ExactMwdsOnSquare(benchmark::State& state) {
   const Graph sq = exact_bench_square(state, 4);
   const graph::VertexWeights w = exact_bench_weights(sq);
-  for (auto _ : state) benchmark::DoNotOptimize(solvers::solve_mwds(sq, w));
+  for (auto _ : state) {
+    forget_exact_solves();
+    benchmark::DoNotOptimize(solvers::solve_mwds(sq, w));
+  }
 }
 BENCHMARK(BM_ExactMwdsOnSquare)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Arg(64);
+
+// What the exact solvers' memo costs and saves, on the 64-vertex G^2
+// oracle instances with the biggest trees (the ones
+// ExactAllocation.SearchNodesDoNotAllocate counts): mvc on geo-torus
+// (ds 0) and mds on regular-4 (ds 1), seed 1.  The miss arm empties the
+// memo before every solve, so it pays the key, the search and the store;
+// the hit arm replays the stored result, so it pays building and
+// comparing the key and copying the result.  Args: {ds, hit}.
+void BM_ExactMemo(benchmark::State& state) {
+  const bool ds = state.range(0) != 0;
+  const bool hit = state.range(1) != 0;
+  const Graph g =
+      scenario::scenario_or_throw(ds ? "regular-4" : "geo-torus").build(64, 1);
+  const Graph h = graph::power(g, 2);
+  const auto solve = [&] {
+    return ds ? solvers::solve_mds(h) : solvers::solve_mvc(h);
+  };
+  forget_exact_solves();
+  solve();
+  for (auto _ : state) {
+    if (!hit) forget_exact_solves();
+    benchmark::DoNotOptimize(solve());
+  }
+}
+BENCHMARK(BM_ExactMemo)
+    ->ArgNames({"ds", "hit"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 // The implicit-power-graph headline: (1+eps)-approximate MVC of G^r on a
 // power-law Chung-Lu graph without ever materializing G^r (the n = 10^5
@@ -98,8 +143,10 @@ void BM_GrMvcLarge(benchmark::State& state) {
   const Graph g = graph::link_components(graph::chung_lu(
       static_cast<graph::VertexId>(state.range(0)), 2.5, 4.0, rng));
   const int r = static_cast<int>(state.range(1));
-  for (auto _ : state)
+  for (auto _ : state) {
+    forget_exact_solves();
     benchmark::DoNotOptimize(pg::core::solve_gr_mvc(g, r, 0.25));
+  }
 }
 BENCHMARK(BM_GrMvcLarge)
     ->ArgNames({"n", "r"})
@@ -151,8 +198,10 @@ void BM_GrMwvcLarge(benchmark::State& state) {
   const Graph g = power_view_bench_graph(state);
   const graph::VertexWeights w = exact_bench_weights(g);
   const int r = static_cast<int>(state.range(1));
-  for (auto _ : state)
+  for (auto _ : state) {
+    forget_exact_solves();
     benchmark::DoNotOptimize(pg::core::solve_gr_mwvc(g, r, w, 0.25));
+  }
 }
 BENCHMARK(BM_GrMwvcLarge)
     ->ArgNames({"n", "r"})

@@ -409,9 +409,9 @@ class GroupContext {
   /// Reference-solver score for (problem, r).  Deterministically a
   /// function of (topology, problem, r, exact_max_n) alone — never of
   /// which powers other cells happened to materialize: the exact oracle
-  /// builds its (oracle-sized) G^r locally, and the greedy baselines run
-  /// implicitly for r >= 2, producing vertex-for-vertex the same sets as
-  /// their materialized counterparts.
+  /// solves the group's own oracle-sized G^r (exact_of), and the greedy
+  /// baselines run implicitly for r >= 2, producing vertex-for-vertex the
+  /// same sets as their materialized counterparts.
   const Baseline& baseline_of(Problem problem, int r, VertexId exact_max_n) {
     const auto key = std::make_pair(static_cast<int>(problem), r);
     auto it = baselines_.find(key);
@@ -419,22 +419,10 @@ class GroupContext {
 
     Baseline b;
     if (exact_max_n > 0) {
-      const VertexId n = base_.num_vertices();
-      bool solved = false;
-      if (n <= exact_max_n) {
-        const Graph local_power =
-            r == 1 ? Graph() : graph::power(base_, r);
-        const GraphView target = r == 1 ? base_ : GraphView(local_power);
-        const auto exact = problem == Problem::kVertexCover
-                               ? solvers::solve_mvc(target)
-                               : solvers::solve_mds(target);
-        if (exact.optimal) {
-          b.kind = BaselineKind::kExact;
-          b.size = exact.solution.size();
-          solved = true;
-        }
-      }
-      if (!solved) {
+      if (const auto exact = exact_of(problem, r, nullptr, exact_max_n)) {
+        b.kind = BaselineKind::kExact;
+        b.size = exact->solution.size();
+      } else {
         if (problem == Problem::kVertexCover) {
           b.size = solvers::local_ratio_mvc_power(base_, r).size();
         } else {
@@ -470,21 +458,10 @@ class GroupContext {
       b.weight = static_cast<Weight>(unit.size);
     } else if (exact_max_n > 0) {
       const VertexWeights& w = weights_of(weighting, seed);
-      const VertexId n = base_.num_vertices();
-      bool solved = false;
-      if (n <= exact_max_n) {
-        const Graph local_power = r == 1 ? Graph() : graph::power(base_, r);
-        const GraphView target = r == 1 ? base_ : GraphView(local_power);
-        const auto exact = problem == Problem::kVertexCover
-                               ? solvers::solve_mwvc(target, w)
-                               : solvers::solve_mwds(target, w);
-        if (exact.optimal) {
-          b.kind = BaselineKind::kExact;
-          b.weight = exact.value;
-          solved = true;
-        }
-      }
-      if (!solved) {
+      if (const auto exact = exact_of(problem, r, &w, exact_max_n)) {
+        b.kind = BaselineKind::kExact;
+        b.weight = exact->value;
+      } else {
         VertexSet reference;
         if (problem == Problem::kVertexCover) {
           reference = solvers::local_ratio_mwvc_power(base_, r, w);
@@ -500,6 +477,33 @@ class GroupContext {
   }
 
  private:
+  /// The exact oracle's optimum for (problem, r) under `w` (nullptr:
+  /// unweighted), or nullopt when the topology is above exact_max_n or the
+  /// search ran out of budget.  Every problem and weighting of the group
+  /// solves the same oracle-sized G^r, built here once per r and kept
+  /// apart from powers_, so materialized() still answers only for
+  /// communication graphs.
+  std::optional<solvers::ExactResult> exact_of(Problem problem, int r,
+                                               const VertexWeights* w,
+                                               VertexId exact_max_n) {
+    if (base_.num_vertices() > exact_max_n) return std::nullopt;
+    GraphView target = base_;
+    if (r != 1) {
+      auto it = oracle_powers_.find(r);
+      if (it == oracle_powers_.end())
+        it = oracle_powers_.emplace(r, graph::power(base_, r)).first;
+      target = it->second;
+    }
+    solvers::ExactResult exact =
+        problem == Problem::kVertexCover
+            ? (w == nullptr ? solvers::solve_mvc(target)
+                            : solvers::solve_mwvc(target, *w))
+            : (w == nullptr ? solvers::solve_mds(target)
+                            : solvers::solve_mwds(target, *w));
+    if (!exact.optimal) return std::nullopt;
+    return exact;
+  }
+
   // Storage providers (at most one engaged), declared before the view
   // they back so member-init order keeps base_ valid.
   Graph base_owned_;
@@ -511,6 +515,7 @@ class GroupContext {
   bool classified_ = false;
   graph::DegreeClassification classification_;
   std::map<int, Graph> powers_;
+  std::map<int, Graph> oracle_powers_;  // exact_of's G^r, r >= 2
   std::map<int, std::size_t> edge_counts_;
   std::map<int, std::unique_ptr<congest::Network>> nets_;
   std::map<std::pair<int, int>, Baseline> baselines_;

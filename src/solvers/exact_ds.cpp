@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "solvers/exact_memo.hpp"
 #include "util/cancel.hpp"
 
 namespace pg::solvers {
@@ -300,12 +301,40 @@ class SetCoverSolver {
   std::optional<Weight> target_;
 };
 
+/// The memo key of a set-cover instance: the element count, the costs,
+/// each candidate's coverage words (with its bit count, so a malformed
+/// instance is keyed exactly too and fails the same way) and the decision
+/// target.
+detail::MemoKey set_cover_key(const SetCoverInstance& instance,
+                              std::optional<Weight> target) {
+  constexpr std::uint64_t kSetCoverTag = 2;  // vertex-cover keys carry 1
+  std::size_t words = 6 + instance.costs.size();
+  for (const Bitset& cov : instance.coverage) words += 1 + cov.words().size();
+  detail::MemoKey key(words);
+  if (!key.enabled()) return key;
+  key.put(kSetCoverTag);
+  key.put(instance.num_elements);
+  key.put(target.has_value());
+  key.put(static_cast<std::uint64_t>(target.value_or(0)));
+  key.put(instance.coverage.size());
+  key.put(instance.costs.size());
+  for (const Weight c : instance.costs) key.put(static_cast<std::uint64_t>(c));
+  for (const Bitset& cov : instance.coverage) {
+    key.put(cov.size());
+    key.put_bytes(cov.words());
+  }
+  return key;
+}
+
 }  // namespace
 
 ExactResult solve_set_cover(const SetCoverInstance& instance,
                             std::int64_t node_budget,
                             std::optional<Weight> decision_target) {
-  return SetCoverSolver(instance, node_budget, decision_target).run();
+  return detail::memoized(
+      set_cover_key(instance, decision_target), node_budget, [&] {
+        return SetCoverSolver(instance, node_budget, decision_target).run();
+      });
 }
 
 SetCoverInstance domination_instance(GraphView g, const VertexWeights* w) {

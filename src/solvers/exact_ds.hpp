@@ -4,6 +4,13 @@
 // with this solver.  Their path/shared/merged gadget chains are resolved by
 // classic set-cover preprocessing (candidate dominance and element
 // dominance), after which the residual search is shallow.
+//
+// Every entry point here goes through solve_set_cover, whose solves are
+// memoized per thread under the same rules as the vertex-cover solver
+// (exact_vc.hpp): a repeat of the same instance bytes (coverage, costs,
+// decision target) under a budget that replays the stored search returns
+// the stored ExactResult verbatim; at most 32 solves and 1 MiB of keys
+// per thread, shared with the vertex-cover solves.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/matching.hpp"
+#include "solvers/exact_memo.hpp"
 #include "solvers/greedy.hpp"
 #include "util/bitset.hpp"
 #include "util/cancel.hpp"
@@ -227,17 +228,52 @@ class VcSolver {
   std::optional<Weight> target_;
 };
 
+/// The memo key of a vertex-cover instance: the CSR (offsets relative to
+/// the first), the weights as the search reads them (1 each when
+/// unweighted, so solve_mvc and a unit-weight solve_mwvc share entries)
+/// and the decision target.
+detail::MemoKey vc_key(GraphView g, const VertexWeights* w,
+                       std::optional<Weight> target) {
+  constexpr std::uint64_t kVcTag = 1;  // set-cover keys carry another tag
+  const std::span<const std::size_t> offsets = g.adjacency_offsets();
+  const std::size_t first = offsets.empty() ? 0 : offsets.front();
+  const std::span<const VertexId> adjacency = g.adjacency_array().subspan(
+      first, offsets.empty() ? 0 : offsets.back() - first);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  detail::MemoKey key(
+      4 + offsets.size() +
+      detail::MemoKey::words_for<VertexId>(adjacency.size()) + n);
+  if (!key.enabled()) return key;
+  key.put(kVcTag);
+  key.put(n);
+  key.put(target.has_value());
+  key.put(static_cast<std::uint64_t>(target.value_or(0)));
+  for (const std::size_t offset : offsets) key.put(offset - first);
+  key.put_bytes(adjacency);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    key.put(static_cast<std::uint64_t>(w == nullptr ? 1 : (*w)[v]));
+  return key;
+}
+
+ExactResult solve_vc(GraphView g, const VertexWeights* w,
+                     std::int64_t node_budget,
+                     std::optional<Weight> decision_target) {
+  return detail::memoized(vc_key(g, w, decision_target), node_budget, [&] {
+    return VcSolver(g, w, node_budget, decision_target).run();
+  });
+}
+
 }  // namespace
 
 ExactResult solve_mvc(GraphView g, std::int64_t node_budget,
                       std::optional<Weight> decision_target) {
-  return VcSolver(g, nullptr, node_budget, decision_target).run();
+  return solve_vc(g, nullptr, node_budget, decision_target);
 }
 
 ExactResult solve_mwvc(GraphView g, const VertexWeights& w,
                        std::int64_t node_budget) {
   PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
-  return VcSolver(g, &w, node_budget, std::nullopt).run();
+  return solve_vc(g, &w, node_budget, std::nullopt);
 }
 
 std::optional<bool> has_vc_of_size_at_most(GraphView g, Weight k,

@@ -4,6 +4,14 @@
 // leader's local solver in Algorithm 1 (Theorem 1).  The solver is
 // budget-limited: callers that need a guaranteed optimum must check
 // `result.optimal`.
+//
+// Repeated solves are memoized per thread (solvers/exact_memo.hpp).  A
+// call whose graph, weights (1 each for solve_mvc) and decision target
+// match a stored solve in bytes, and whose node budget is the stored one
+// or covers a stored complete search, gets the stored ExactResult back
+// verbatim, nodes_explored included — exactly what the deterministic
+// search would have returned.  Each thread holds at most 32 solves and
+// 1 MiB of keys, evicted oldest first; a solve that throws stores nothing.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "util/check.hpp"
@@ -57,6 +58,11 @@ class Bitset {
   }
 
   std::size_t size() const { return bits_; }
+
+  /// The backing words, bit i in word i / 64; bits past size() are zero.
+  std::span<const std::uint64_t> words() const {
+    return {data(), num_words()};
+  }
 
   void set(std::size_t i) {
     PG_REQUIRE(i < bits_, "bit index out of range");

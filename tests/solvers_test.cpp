@@ -1,15 +1,18 @@
 // Tests for the exact solvers (branch and bound vs brute force, golden
-// search trees, per-node allocation), the FPT solver, and the greedy
-// baselines.
+// search trees, per-node allocation, the per-thread memo), the FPT
+// solver, and the greedy baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "local_ratio_oracle.hpp"
@@ -20,9 +23,11 @@
 #include "scenario/weights.hpp"
 #include "solvers/brute.hpp"
 #include "solvers/exact_ds.hpp"
+#include "solvers/exact_memo.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/fpt_vc.hpp"
 #include "solvers/greedy.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 // Every heap allocation in this test binary goes through these, so a test
@@ -473,6 +478,275 @@ TEST(ExactAllocation, SearchNodesDoNotAllocate) {
     EXPECT_GT(nodes[2], nodes[1]) << probe.name;
     EXPECT_EQ(allocations[0], allocations[1]) << probe.name;
     EXPECT_EQ(allocations[0], allocations[2]) << probe.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The per-thread memo in front of the exact solvers.  ExactMemoSeam counts
+// the searches a thread actually ran, so each case can tell a replayed
+// result from a fresh search.
+
+using detail::ExactMemoSeam;
+
+void expect_same(const ExactResult& got, const ExactResult& want) {
+  EXPECT_EQ(got.solution.to_vector(), want.solution.to_vector());
+  EXPECT_EQ(got.solution.universe_size(), want.solution.universe_size());
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.optimal, want.optimal);
+  EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+}
+
+/// The G^2 oracle instance of `name` (n = 64, seed 1) and its zipf weights.
+struct Oracle {
+  Graph h;
+  VertexWeights w;
+};
+
+Oracle oracle_square(const char* name) {
+  const Graph g = scenario::scenario_or_throw(name).build(64, 1);
+  return {graph::power(g, 2), scenario::weighting_or_throw("zipf").build(g, 1)};
+}
+
+/// `g` with vertex v renamed to n-1-v: isomorphic, different bytes.
+Graph reversed(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  graph::GraphBuilder builder(n);
+  g.for_each_edge(
+      [&](VertexId u, VertexId v) { builder.add_edge(n - 1 - u, n - 1 - v); });
+  return std::move(builder).build();
+}
+
+/// One element, `candidates` twin candidates: a set-cover instance whose
+/// key grows by three words (cost, bit count, coverage) per candidate
+/// while its search stays trivial.
+SetCoverInstance twin_candidates(std::size_t candidates) {
+  SetCoverInstance instance;
+  instance.num_elements = 1;
+  instance.coverage.assign(candidates, Bitset(1));
+  for (Bitset& cov : instance.coverage) cov.set(0);
+  instance.costs.assign(candidates, 1);
+  return instance;
+}
+
+TEST(ExactMemo, RepeatReturnsTheStoredResultWithoutSearching) {
+  ExactMemoSeam::clear();
+  const Oracle vc = oracle_square("geo-torus");
+  const Oracle ds = oracle_square("regular-4");
+  const std::vector<std::function<ExactResult()>> solves = {
+      [&] { return solve_mvc(vc.h); },
+      [&] { return solve_mwvc(vc.h, vc.w); },
+      [&] { return solve_mvc(vc.h, kDefaultNodeBudget, 50); },
+      [&] { return solve_mds(ds.h); },
+      [&] { return solve_mwds(ds.h, ds.w); },
+      [&] {
+        return solve_set_cover(domination_instance(ds.h, nullptr),
+                               kDefaultNodeBudget, 7);
+      },
+  };
+  for (std::size_t i = 0; i < solves.size(); ++i) {
+    const std::int64_t before = ExactMemoSeam::searches();
+    const ExactResult first = solves[i]();
+    EXPECT_EQ(ExactMemoSeam::searches(), before + 1) << i;
+    const ExactResult again = solves[i]();
+    EXPECT_EQ(ExactMemoSeam::searches(), before + 1) << i;
+    expect_same(again, first);
+  }
+  // The decision helpers go through the same entry points.
+  const std::int64_t before = ExactMemoSeam::searches();
+  const std::optional<bool> vc_answer = has_vc_of_size_at_most(vc.h, 50);
+  const std::optional<bool> ds_answer =
+      has_ds_of_weight_at_most(ds.h, nullptr, 7);
+  EXPECT_EQ(ExactMemoSeam::searches(), before);  // both stored above
+  EXPECT_EQ(vc_answer, has_vc_of_size_at_most(vc.h, 50));
+  EXPECT_EQ(ds_answer, has_ds_of_weight_at_most(ds.h, nullptr, 7));
+  EXPECT_EQ(ExactMemoSeam::searches(), before);
+}
+
+TEST(ExactMemo, OptimalEntryServesEveryBudgetAtLeastItsNodes) {
+  ExactMemoSeam::clear();
+  const Oracle vc = oracle_square("geo-torus");
+  const ExactResult full = solve_mvc(vc.h);
+  ASSERT_TRUE(full.optimal);
+  const std::int64_t before = ExactMemoSeam::searches();
+  for (const std::int64_t budget :
+       {full.nodes_explored, full.nodes_explored + 1, std::int64_t{1} << 40})
+    expect_same(solve_mvc(vc.h, budget), full);
+  EXPECT_EQ(ExactMemoSeam::searches(), before);
+
+  // One node short, the search runs again and aborts as a fresh run does.
+  const std::int64_t short_budget = full.nodes_explored - 1;
+  const ExactResult cut = solve_mvc(vc.h, short_budget);
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 1);
+  EXPECT_FALSE(cut.optimal);
+  ExactMemoSeam::clear();
+  expect_same(cut, solve_mvc(vc.h, short_budget));
+}
+
+TEST(ExactMemo, AbortedEntryServesOnlyItsOwnBudget) {
+  ExactMemoSeam::clear();
+  const Oracle ds = oracle_square("regular-4");
+  const ExactResult aborted = solve_mwds(ds.h, ds.w, 100);
+  ASSERT_FALSE(aborted.optimal);
+  std::int64_t searches = ExactMemoSeam::searches();
+  expect_same(solve_mwds(ds.h, ds.w, 100), aborted);
+  EXPECT_EQ(ExactMemoSeam::searches(), searches);
+  for (const std::int64_t budget : {std::int64_t{99}, std::int64_t{101}}) {
+    const ExactResult other = solve_mwds(ds.h, ds.w, budget);
+    EXPECT_EQ(ExactMemoSeam::searches(), ++searches) << budget;
+    EXPECT_EQ(other.nodes_explored, budget + 1) << budget;
+  }
+}
+
+TEST(ExactMemo, SmallerBudgetSearchesAgainAndMatchesAFreshRun) {
+  const Oracle vc = oracle_square("geo-torus");
+  for (const std::int64_t budget : {std::int64_t{10}, std::int64_t{1000}}) {
+    ExactMemoSeam::clear();
+    const ExactResult fresh = solve_mwvc(vc.h, vc.w, budget);
+    ExactMemoSeam::clear();
+    ASSERT_TRUE(solve_mwvc(vc.h, vc.w).optimal);
+    const std::int64_t before = ExactMemoSeam::searches();
+    expect_same(solve_mwvc(vc.h, vc.w, budget), fresh);
+    EXPECT_EQ(ExactMemoSeam::searches(), before + 1) << budget;
+  }
+}
+
+TEST(ExactMemo, DifferentInstancesMiss) {
+  ExactMemoSeam::clear();
+  const Oracle vc = oracle_square("geo-torus");
+  const Oracle ds = oracle_square("regular-4");
+  VertexWeights heavier = vc.w;
+  heavier.set(5, vc.w[5] + 1);
+  SetCoverInstance costlier = domination_instance(ds.h, &ds.w);
+  costlier.costs[7] += 1;
+  const Graph relabelled = reversed(vc.h);
+  ASSERT_EQ(relabelled.num_edges(), vc.h.num_edges());
+  ASSERT_FALSE(std::ranges::equal(relabelled.adjacency_array(),
+                                  vc.h.adjacency_array()));
+
+  const std::vector<std::function<ExactResult()>> solves = {
+      [&] { return solve_mwvc(vc.h, vc.w); },
+      [&] { return solve_mwvc(vc.h, heavier); },
+      [&] { return solve_mvc(vc.h, kDefaultNodeBudget, 50); },
+      [&] { return solve_mvc(vc.h, kDefaultNodeBudget, 51); },
+      [&] { return solve_mvc(vc.h); },
+      [&] { return solve_mvc(relabelled); },
+      [&] { return solve_mwds(ds.h, ds.w); },
+      [&] { return solve_set_cover(costlier); },
+  };
+  for (std::size_t i = 0; i < solves.size(); ++i) {
+    const std::int64_t before = ExactMemoSeam::searches();
+    solves[i]();
+    EXPECT_EQ(ExactMemoSeam::searches(), before + 1) << i;
+  }
+  EXPECT_EQ(ExactMemoSeam::entries(), solves.size());
+}
+
+TEST(ExactMemo, FailedSolvesStoreNothing) {
+  ExactMemoSeam::clear();
+  const Oracle vc = oracle_square("geo-torus");
+  const std::atomic<bool> cancelled{true};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const cancel::Scope scope(&cancelled);
+    EXPECT_THROW(solve_mvc(vc.h), cancel::Cancelled);
+  }
+  EXPECT_EQ(ExactMemoSeam::entries(), 0u);
+
+  VertexWeights negative = vc.w;
+  negative.set(3, -1);
+  const std::int64_t before = ExactMemoSeam::searches();
+  for (int attempt = 0; attempt < 2; ++attempt)
+    EXPECT_THROW(solve_mwvc(vc.h, negative), PreconditionViolation);
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 2);
+  EXPECT_EQ(ExactMemoSeam::entries(), 0u);
+
+  // The instance a cancelled solve left behind still searches in full.
+  const ExactResult solved = solve_mvc(vc.h);
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 3);
+  EXPECT_TRUE(solved.optimal);
+  // And a stored entry does not outlive a cancellation request: the hit
+  // polls the token as the replayed search's root would.
+  const cancel::Scope scope(&cancelled);
+  EXPECT_THROW(solve_mvc(vc.h), cancel::Cancelled);
+}
+
+TEST(ExactMemo, HoldsAtMost32EntriesOldestEvictedFirst) {
+  ExactMemoSeam::clear();
+  ASSERT_EQ(detail::kMemoEntries, 32u);
+  const auto path = [](int i) { return graph::path_graph(3 + i); };
+  for (int i = 0; i < 33; ++i) solve_mvc(path(i));
+  EXPECT_EQ(ExactMemoSeam::entries(), 32u);
+  const std::int64_t before = ExactMemoSeam::searches();
+  solve_mvc(path(1));  // still held
+  EXPECT_EQ(ExactMemoSeam::searches(), before);
+  solve_mvc(path(0));  // the oldest, evicted by the 33rd
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 1);
+  EXPECT_EQ(ExactMemoSeam::entries(), 32u);
+}
+
+TEST(ExactMemo, HoldsAtMostOneMebibyteOfKeys) {
+  ExactMemoSeam::clear();
+  ASSERT_EQ(detail::kMemoKeyBytes, std::size_t{1} << 20);
+  // Two keys of ~0.57 MiB: the second evicts the first.
+  const SetCoverInstance big = twin_candidates(25'000);
+  solve_set_cover(big, kDefaultNodeBudget, 1);
+  EXPECT_EQ(ExactMemoSeam::entries(), 1u);
+  const std::size_t one_key = ExactMemoSeam::key_bytes();
+  EXPECT_GT(one_key, detail::kMemoKeyBytes / 2);
+  solve_set_cover(big, kDefaultNodeBudget, 2);
+  EXPECT_EQ(ExactMemoSeam::entries(), 1u);
+  EXPECT_EQ(ExactMemoSeam::key_bytes(), one_key);
+  std::int64_t before = ExactMemoSeam::searches();
+  solve_set_cover(big, kDefaultNodeBudget, 1);
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 1);
+
+  // Small keys fill in beside one big key without pushing the total over.
+  for (int i = 0; i < 20; ++i) solve_mvc(graph::path_graph(3 + i));
+  EXPECT_LE(ExactMemoSeam::key_bytes(), detail::kMemoKeyBytes);
+  EXPECT_EQ(ExactMemoSeam::entries(), 21u);
+
+  // A key above the cap bypasses the memo: every call searches, and the
+  // entries already held stay.
+  const SetCoverInstance huge = twin_candidates(50'000);
+  before = ExactMemoSeam::searches();
+  const ExactResult first = solve_set_cover(huge);
+  expect_same(solve_set_cover(huge), first);
+  EXPECT_EQ(ExactMemoSeam::searches(), before + 2);
+  EXPECT_EQ(ExactMemoSeam::entries(), 21u);
+  EXPECT_LE(ExactMemoSeam::key_bytes(), detail::kMemoKeyBytes);
+}
+
+// Memo state is per thread: four threads solving the same and different
+// instances at once see their own hits and misses and the serial results
+// (the TSan job runs this binary, so a shared ring would be reported).
+TEST(ExactMemo, ThreadsKeepTheirOwnMemo) {
+  const Oracle vc = oracle_square("geo-torus");
+  const Oracle ds = oracle_square("regular-4");
+  const auto solve_all = [&](int t) {
+    std::vector<ExactResult> results;
+    results.push_back(solve_mvc(vc.h));                      // shared
+    results.push_back(solve_mwds(ds.h, ds.w));               // shared
+    results.push_back(solve_mvc(graph::path_graph(4 + t)));  // own
+    results.push_back(solve_mvc(vc.h));                      // repeat
+    return results;
+  };
+  ExactMemoSeam::clear();
+  std::vector<std::vector<ExactResult>> serial;
+  for (int t = 0; t < 4; ++t) serial.push_back(solve_all(t));
+
+  std::vector<std::vector<ExactResult>> parallel(4);
+  std::vector<std::int64_t> searches(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      parallel[static_cast<std::size_t>(t)] = solve_all(t);
+      searches[static_cast<std::size_t>(t)] = ExactMemoSeam::searches();
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(searches[t], 3) << t;  // a fresh thread's memo starts empty
+    ASSERT_EQ(parallel[t].size(), serial[t].size());
+    for (std::size_t i = 0; i < serial[t].size(); ++i)
+      expect_same(parallel[t][i], serial[t][i]);
   }
 }
 
