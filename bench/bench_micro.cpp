@@ -1,17 +1,29 @@
 // E13 — substrate micro-benchmarks (google-benchmark): graph squaring,
-// generators, implicit G^r probes, exact solvers, and simulator round
-// overhead.  These are the operations every experiment binary leans on.
+// generators, edge-list import and `.pgcsr` mapping, implicit G^r probes,
+// exact solvers, and simulator round overhead.  These are the operations
+// every experiment binary leans on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <istream>
+#include <streambuf>
+#include <string>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 #include "congest/network.hpp"
 #include "core/gr_mvc.hpp"
 #include "core/gr_mwvc.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/power.hpp"
 #include "graph/power_view.hpp"
+#include "graph/storage.hpp"
 #include "scenario/scenario.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/exact_memo.hpp"
@@ -45,6 +57,86 @@ void BM_GnpGenerate(benchmark::State& state) {
         static_cast<graph::VertexId>(state.range(0)), 0.05, rng));
 }
 BENCHMARK(BM_GnpGenerate)->Arg(128)->Arg(512);
+
+// Edge-list ingestion and the `.pgcsr` map layer.  The input is a chung-lu
+// graph (exponent 2.5, average degree 4, n = lines / 2, so about `lines`
+// edges; 24,000 lines is the implicit-powerlaw benchmark's scale) written
+// as one "u v" line per edge in row order, with dense 0-based ids or with
+// each id scattered over [0, 2^40) by an odd multiplier (sparse ids, which
+// the importer must remap through its hash table).  Args: {lines, sparse}.
+std::string chung_lu_text(std::int64_t lines, bool sparse) {
+  Rng rng(11);
+  const Graph g = graph::chung_lu(static_cast<graph::VertexId>(lines / 2),
+                                  2.5, 4.0, rng);
+  const auto id = [sparse](graph::VertexId v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    return sparse ? (u * 0x9e3779b97f4a7c15ull) & ((std::uint64_t{1} << 40) - 1)
+                  : u;
+  };
+  std::string text;
+  g.for_each_edge([&](graph::VertexId u, graph::VertexId v) {
+    text += std::to_string(id(u));
+    text += ' ';
+    text += std::to_string(id(v));
+    text += '\n';
+  });
+  return text;
+}
+
+/// An istream over a string without copying it.
+class StringSource : public std::streambuf {
+ public:
+  explicit StringSource(const std::string& text) {
+    char* begin = const_cast<char*>(text.data());
+    setg(begin, begin, begin + text.size());
+  }
+};
+
+void ingest_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"lines", "sparse"});
+  for (const int sparse : {0, 1})
+    for (const int lines : {24000, 100000, 1000000}) b->Args({lines, sparse});
+  b->Unit(benchmark::kMillisecond);
+}
+
+void BM_ImportEdgeList(benchmark::State& state) {
+  const std::string text = chung_lu_text(state.range(0), state.range(1) == 1);
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    StringSource source(text);
+    std::istream in(&source);
+    edges = graph::import_edge_list(in).graph.num_edges();
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+  state.SetBytesProcessed(static_cast<std::int64_t>(text.size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ImportEdgeList)->Apply(ingest_args);
+
+// Opens (maps, checksums and validates) the `.pgcsr` file the import of
+// the same text writes.
+void BM_MapPgcsr(benchmark::State& state) {
+  const std::string text = chung_lu_text(state.range(0), state.range(1) == 1);
+  StringSource source(text);
+  std::istream in(&source);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pg_bench_map_" + std::to_string(state.range(0)) + "_" +
+        std::to_string(state.range(1)) + "_" +
+        std::to_string(static_cast<long>(::getpid())) + ".pgcsr"))
+          .string();
+  graph::write_pgcsr_file(graph::import_edge_list(in).graph, path);
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const graph::MappedGraph mapped = graph::MappedGraph::open(path);
+    edges = mapped.num_edges();
+    benchmark::DoNotOptimize(edges);
+  }
+  std::remove(path.c_str());
+  state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_MapPgcsr)->Apply(ingest_args);
 
 // Empties this thread's exact-solver memo, so a bench that solves the same
 // instance every iteration keeps timing the search, not a memo hit.

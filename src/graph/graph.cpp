@@ -11,31 +11,42 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
 }
 
 Graph GraphBuilder::build() && {
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  PG_REQUIRE(edges_.size() <= kMaxAdjacencySlots / 2,
+  // Counting scatter: each edge lands in both endpoint rows, repeats
+  // included, so the per-row dedup below drops a repeated edge from both
+  // rows alike and the result stays symmetric.  offsets[v] starts as the
+  // end of row v and, filled from the back, serves as v's cursor, ending
+  // at the row's start.
+  const auto n = static_cast<std::size_t>(n_);
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (const Edge& e : edges_) {
+    ++offsets[static_cast<std::size_t>(e.u)];
+    ++offsets[static_cast<std::size_t>(e.v)];
+  }
+  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
+  std::vector<VertexId> adjacency(offsets[n]);
+  for (const Edge& e : edges_) {
+    adjacency[--offsets[static_cast<std::size_t>(e.u)]] = e.v;
+    adjacency[--offsets[static_cast<std::size_t>(e.v)]] = e.u;
+  }
+  edges_ = std::vector<Edge>();  // frees the list (= {} would keep it)
+
+  // Sort and dedup each row, compacting the rows to the front in place.
+  std::size_t kept = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto first = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+    const auto last = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    std::sort(first, last);
+    offsets[v] = kept;
+    for (auto it = first; it != last; ++it)
+      if (kept == offsets[v] || adjacency[kept - 1] != *it)
+        adjacency[kept++] = *it;
+  }
+  offsets[n] = kept;
+  PG_REQUIRE(kept / 2 <= kMaxAdjacencySlots / 2,
              "graph has more edges than the int32-addressable adjacency "
              "slot space (2m must fit in int32)");
-
-  const auto n = static_cast<std::size_t>(n_);
-  std::vector<std::size_t> degree(n, 0);
-  for (const Edge& e : edges_) {
-    ++degree[static_cast<std::size_t>(e.u)];
-    ++degree[static_cast<std::size_t>(e.v)];
-  }
-  std::vector<std::size_t> offsets(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    offsets[v + 1] = offsets[v] + degree[v];
-  std::vector<VertexId> adjacency(offsets[n]);
-
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : edges_) {
-    adjacency[cursor[static_cast<std::size_t>(e.u)]++] = e.v;
-    adjacency[cursor[static_cast<std::size_t>(e.v)]++] = e.u;
-  }
-  for (std::size_t v = 0; v < n; ++v)
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  adjacency.resize(kept);
+  adjacency.shrink_to_fit();
 
   Graph g;
   g.adopt(std::move(offsets), std::move(adjacency));

@@ -47,7 +47,7 @@ class GraphView {
   /// Wraps raw CSR arrays without validating them; the caller promises
   /// the Graph invariants (monotone offsets, per-row strictly sorted,
   /// symmetric, no self-loops).  Validated entry points: GraphBuilder,
-  /// Graph::from_csr, map_pgcsr.
+  /// Graph::from_csr, MappedGraph::open.
   GraphView(std::span<const std::size_t> offsets,
             std::span<const VertexId> adjacency)
       : offsets_(offsets), adjacency_(adjacency) {}
@@ -114,7 +114,10 @@ class Graph;
 class MappedGraph;
 
 /// Incrementally collects edges, then freezes into a Graph.  Duplicate edges
-/// are tolerated and deduplicated.
+/// are tolerated and deduplicated.  build() is the program's one edge-list
+/// to CSR constructor: a counting scatter of both orientations of every
+/// edge, then a sort and dedup of each row — O(n + m) up to the row sorts,
+/// O(m log Δ) at worst, with no global sort of the edge list.
 class GraphBuilder {
  public:
   explicit GraphBuilder(VertexId n) : n_(n) {
@@ -127,6 +130,8 @@ class GraphBuilder {
   VertexId add_vertex() { return n_++; }
 
   void add_edge(VertexId u, VertexId v);
+  /// Capacity hint for `m` add_edge calls.
+  void reserve_edges(std::size_t m) { edges_.reserve(m); }
   bool has_vertex(VertexId v) const { return v >= 0 && v < n_; }
 
   Graph build() &&;
@@ -157,11 +162,12 @@ class Graph : public GraphView {
     return *this;
   }
 
-  /// Constructs a graph directly from a CSR pair, bypassing GraphBuilder's
-  /// edge-list sort.  Validates cheap invariants (offset monotonicity,
-  /// per-row strict sortedness, no self-loops, ids in range); the caller
-  /// promises symmetry.  Used by performance-critical builders
-  /// (graph::power); prefer GraphBuilder elsewhere.
+  /// Constructs a graph directly from a CSR pair that is already in final
+  /// form, with no edge list in between.  Validates cheap invariants
+  /// (offset monotonicity, per-row strict sortedness, no self-loops, ids
+  /// in range); the caller promises symmetry.  Used by builders that
+  /// produce sorted rows directly (graph::power); prefer GraphBuilder
+  /// elsewhere.
   static Graph from_csr(std::vector<std::size_t> offsets,
                         std::vector<VertexId> adjacency);
 

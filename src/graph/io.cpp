@@ -1,13 +1,16 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace pg::graph {
 
@@ -53,10 +56,179 @@ bool is_comment(std::string_view line) {
   return true;
 }
 
-std::string_view chomp(const std::string& line) {
-  std::string_view v = line;
-  if (!v.empty() && v.back() == '\r') v.remove_suffix(1);
-  return v;
+std::string_view chomp(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
+/// Calls on_line(text, line_no) for every '\n'-terminated line of `in`
+/// (without the '\n'), numbered from 1, plus a final unterminated line if
+/// it is non-empty — the lines std::getline would return.  The stream is
+/// read in 64 KiB blocks and lines are parsed where they lie; only a line
+/// that straddles two blocks moves (to the buffer's front), and a line
+/// longer than the buffer doubles it.
+template <typename OnLine>
+void for_each_line(std::istream& in, OnLine&& on_line) {
+  std::vector<char> buf(std::size_t{1} << 16);
+  std::size_t held = 0;  // bytes of an unfinished line at buf's front
+  std::size_t line_no = 0;
+  for (;;) {
+    if (held == buf.size()) buf.resize(2 * buf.size());
+    in.read(buf.data() + held, static_cast<std::streamsize>(buf.size() - held));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    const char* p = buf.data();
+    const char* const end = buf.data() + held + got;
+    while (const auto* nl = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
+      on_line(std::string_view(p, static_cast<std::size_t>(nl - p)), ++line_no);
+      p = nl + 1;
+    }
+    held = static_cast<std::size_t>(end - p);
+    if (got == 0) {
+      if (held > 0) on_line(std::string_view(p, held), ++line_no);
+      return;
+    }
+    std::memmove(buf.data(), p, held);
+  }
+}
+
+constexpr std::size_t kMaxVertexCount =
+    static_cast<std::size_t>(std::numeric_limits<VertexId>::max());
+
+/// Numbers distinct ids by first appearance: an open-addressing hash table
+/// (linear probing, load at most 1/2) whose memory is O(n), however wide
+/// the ids are spread.
+class FirstSeen {
+ public:
+  VertexId operator()(std::int64_t id) {
+    std::size_t i = slot_of(id);
+    if (keys_[i] == kEmpty) {
+      PG_REQUIRE(size_ < kMaxVertexCount,
+                 "imported graph has more distinct vertex ids than int32 "
+                 "allows");
+      if (2 * (size_ + 1) > keys_.size()) {
+        grow();
+        i = slot_of(id);
+      }
+      keys_[i] = id;
+      index_[i] = static_cast<VertexId>(size_++);
+    }
+    return index_[i];
+  }
+
+  /// rank[k] is the position of the k-th distinct id in ascending order.
+  /// Only the n distinct ids are sorted.  Consumes the table.
+  std::vector<VertexId> ranks() && {
+    std::vector<std::pair<std::int64_t, VertexId>> by_id;
+    by_id.reserve(size_);
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      if (keys_[i] != kEmpty) by_id.emplace_back(keys_[i], index_[i]);
+    keys_ = std::vector<std::int64_t>();  // frees (= {} would keep capacity)
+    index_ = std::vector<VertexId>();
+    std::sort(by_id.begin(), by_id.end());
+    std::vector<VertexId> rank(by_id.size());
+    for (std::size_t r = 0; r < by_id.size(); ++r)
+      rank[static_cast<std::size_t>(by_id[r].second)] = static_cast<VertexId>(r);
+    return rank;
+  }
+
+ private:
+  static constexpr std::int64_t kEmpty = -1;  // ids are non-negative
+
+  std::size_t slot_of(std::int64_t id) const {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull) >>
+        (64 - std::countr_zero(keys_.size())));
+    while (keys_[i] != kEmpty && keys_[i] != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::vector<std::int64_t> keys = std::exchange(
+        keys_, std::vector<std::int64_t>(2 * keys_.size(), kEmpty));
+    const std::vector<VertexId> index =
+        std::exchange(index_, std::vector<VertexId>(keys_.size()));
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      if (keys[i] != kEmpty) {
+        const std::size_t j = slot_of(keys[i]);
+        keys_[j] = keys[i];
+        index_[j] = index[i];
+      }
+  }
+
+  std::vector<std::int64_t> keys_ = std::vector<std::int64_t>(1024, kEmpty);
+  std::vector<VertexId> index_ = std::vector<VertexId>(1024);
+  std::size_t size_ = 0;
+};
+
+/// Original endpoint ids as parsed, in fixed-size blocks so that growing
+/// never copies and the remap can free each block once it is read.
+class ParsedEnds {
+ public:
+  void push(std::int64_t u, std::int64_t v) {
+    if (blocks_.empty() || blocks_.back().size() == kBlock) {
+      blocks_.emplace_back();
+      blocks_.back().reserve(kBlock);
+    }
+    blocks_.back().push_back(u);
+    blocks_.back().push_back(v);
+    count_ += 2;
+  }
+  std::size_t size() const { return count_; }
+
+  /// Calls fn(id) for every id in order, releasing each block after its
+  /// last id.
+  template <typename Fn>
+  void drain(Fn&& fn) && {
+    for (auto& block : blocks_) {
+      for (const std::int64_t id : block) fn(id);
+      block = std::vector<std::int64_t>();
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{1} << 15;  // even
+  std::vector<std::vector<std::int64_t>> blocks_;
+  std::size_t count_ = 0;
+};
+
+/// The dense ids of the parsed endpoints: endpoint i becomes
+/// rank[local[i]], 0..n-1 in ascending original order.
+struct DenseIds {
+  std::vector<VertexId> local;
+  std::vector<VertexId> rank;
+  VertexId n = 0;
+};
+
+/// Ids that span at most ends.size() values are ranked by a table over the
+/// span (local = id - min_id); wider ones through FirstSeen (local = order
+/// of first appearance).  Either way time is O(m + n log n) and memory
+/// O(m), never proportional to the span.
+DenseIds remap_ids(ParsedEnds&& ends, std::int64_t min_id,
+                   std::int64_t max_id) {
+  DenseIds out;
+  if (ends.size() == 0) return out;
+  out.local.reserve(ends.size());
+  const std::uint64_t span = static_cast<std::uint64_t>(max_id) -
+                             static_cast<std::uint64_t>(min_id) + 1;
+  if (span <= std::min<std::size_t>(ends.size(), kMaxVertexCount)) {
+    out.rank.assign(static_cast<std::size_t>(span), -1);
+    std::move(ends).drain([&](std::int64_t id) {
+      const auto local = static_cast<VertexId>(id - min_id);
+      out.rank[static_cast<std::size_t>(local)] = 0;
+      out.local.push_back(local);
+    });
+    for (VertexId& r : out.rank)
+      if (r == 0) r = out.n++;
+  } else {
+    FirstSeen first_seen;
+    std::move(ends).drain(
+        [&](std::int64_t id) { out.local.push_back(first_seen(id)); });
+    out.rank = std::move(first_seen).ranks();
+    out.n = static_cast<VertexId>(out.rank.size());
+  }
+  return out;
 }
 
 }  // namespace
@@ -103,87 +275,47 @@ ImportResult import_edge_list(std::istream& in) {
   ImportResult result;
   ImportStats& stats = result.stats;
 
-  // Pass 1 (streaming): collect raw endpoint pairs with their original
-  // (possibly 1-based or sparse) ids.
-  std::vector<std::pair<std::int64_t, std::int64_t>> raw;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++stats.lines;
+  // Endpoint pairs with their original (possibly 1-based or sparse) ids.
+  ParsedEnds ends;
+  for_each_line(in, [&](std::string_view line, std::size_t line_no) {
+    stats.lines = line_no;
     const std::string_view text = chomp(line);
     if (is_comment(text)) {
       ++stats.comment_lines;
-      continue;
+      return;
     }
     std::int64_t uv[2] = {0, 0};
-    parse_ints(text, stats.lines, uv, 2);
-    if (uv[0] < 0 || uv[1] < 0)
-      parse_fail(stats.lines, "negative vertex id");
+    parse_ints(text, line_no, uv, 2);
+    if (uv[0] < 0 || uv[1] < 0) parse_fail(line_no, "negative vertex id");
     ++stats.edge_lines;
     if (uv[0] == uv[1]) {
       ++stats.self_loops;
-      continue;
+      return;
     }
-    stats.min_id = raw.empty() ? std::min(uv[0], uv[1])
-                               : std::min({stats.min_id, uv[0], uv[1]});
+    stats.min_id = ends.size() == 0 ? std::min(uv[0], uv[1])
+                                    : std::min({stats.min_id, uv[0], uv[1]});
     stats.max_id = std::max({stats.max_id, uv[0], uv[1]});
-    raw.emplace_back(uv[0], uv[1]);
-  }
+    ends.push(uv[0], uv[1]);
+  });
   PG_REQUIRE(!in.bad(), "I/O error while reading the edge list");
 
-  // Id remap: sorted distinct original ids become 0..n-1 (ascending, so a
-  // dense input maps to itself and the result is deterministic).
-  std::vector<std::int64_t> ids;
-  ids.reserve(raw.size() * 2);
-  for (const auto& [u, v] : raw) {
-    ids.push_back(u);
-    ids.push_back(v);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  PG_REQUIRE(ids.size() <= static_cast<std::size_t>(
-                               std::numeric_limits<VertexId>::max()),
-             "imported graph has more distinct vertex ids than int32 allows");
-  const auto n = static_cast<VertexId>(ids.size());
+  // Ids become 0..n-1 in ascending original order, so a dense input maps
+  // to itself and the result is deterministic.
+  DenseIds ids = remap_ids(std::move(ends), stats.min_id, stats.max_id);
   stats.remapped =
-      !(ids.empty() || (stats.min_id == 0 &&
-                        stats.max_id == static_cast<std::int64_t>(n) - 1));
-  const auto remap = [&](std::int64_t original) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), original);
-    return static_cast<VertexId>(it - ids.begin());
+      !(ids.n == 0 || (stats.min_id == 0 &&
+                       stats.max_id == static_cast<std::int64_t>(ids.n) - 1));
+  GraphBuilder builder(ids.n);
+  builder.reserve_edges(ids.local.size() / 2);
+  const auto dense = [&](std::size_t i) {
+    return ids.rank[static_cast<std::size_t>(ids.local[i])];
   };
-
-  // Symmetrize + dedup: normalize to u < v, sort, unique.
-  std::vector<Edge> edges;
-  edges.reserve(raw.size());
-  for (const auto& [u, v] : raw) edges.emplace_back(remap(u), remap(v));
-  raw.clear();
-  raw.shrink_to_fit();
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  stats.duplicates = stats.edge_lines - stats.self_loops - edges.size();
-  PG_REQUIRE(edges.size() <= kMaxAdjacencySlots / 2,
-             "imported graph exceeds the int32-addressable adjacency "
-             "slot space (2m must fit in int32)");
-
-  // CSR build (counting scatter, then per-row sort) — same construction
-  // as GraphBuilder::build, routed through from_csr's validation.
-  const auto nn = static_cast<std::size_t>(n);
-  std::vector<std::size_t> offsets(nn + 1, 0);
-  for (const Edge& e : edges) {
-    ++offsets[static_cast<std::size_t>(e.u) + 1];
-    ++offsets[static_cast<std::size_t>(e.v) + 1];
-  }
-  for (std::size_t v = 0; v < nn; ++v) offsets[v + 1] += offsets[v];
-  std::vector<VertexId> adjacency(offsets[nn]);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : edges) {
-    adjacency[cursor[static_cast<std::size_t>(e.u)]++] = e.v;
-    adjacency[cursor[static_cast<std::size_t>(e.v)]++] = e.u;
-  }
-  for (std::size_t v = 0; v < nn; ++v)
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-  result.graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
+  for (std::size_t i = 0; i < ids.local.size(); i += 2)
+    builder.add_edge(dense(i), dense(i + 1));
+  ids = DenseIds();
+  result.graph = std::move(builder).build();
+  stats.duplicates = stats.edge_lines - stats.self_loops -
+                     result.graph.num_edges();
   return result;
 }
 

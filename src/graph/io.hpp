@@ -48,9 +48,13 @@ struct ImportResult {
 ///     themselves, so the remap is the identity there);
 ///   * self-loops are dropped, (u,v)/(v,u) and repeated pairs deduplicate
 ///     to one undirected edge.
-/// Memory and time are O(n + m) up to the sort used for the id remap and
-/// edge dedup.  Overflowing int32 vertex ids or the int32 adjacency slot
-/// space fails loudly.
+/// The text is read in blocks and parsed in place; the id remap is a rank
+/// table when the ids span at most 2m values and a hash table otherwise
+/// (only the n distinct ids are sorted), and the CSR comes from
+/// GraphBuilder::build.  Time is O(n log n + m log Δ), linear for dense ids
+/// apart from the row sorts; memory is O(n + m) whatever the id span.
+/// Overflowing int32 vertex ids or the int32 adjacency slot space fails
+/// loudly.
 ImportResult import_edge_list(std::istream& in);
 
 /// Graphviz DOT.  `labels` (optional, size n) names the vertices.

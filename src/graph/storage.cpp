@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 #include <string_view>
+#include <vector>
 
 #include "util/hash.hpp"
 
@@ -129,8 +130,8 @@ MappedGraph MappedGraph::open(const std::string& path) {
 
   // Full structural validation: a mapped graph must honour every Graph
   // invariant before any algorithm sees it, including the symmetry
-  // GraphBuilder guarantees by construction.  One O(n + m log Δ) pass at
-  // open time; the checksums above already touched every page anyway.
+  // GraphBuilder guarantees by construction.  Two O(n + m) passes at open
+  // time; the checksums above already touched every page anyway.
   if (offsets[0] != 0 || offsets[n] != slots)
     reject(path, "CSR offsets do not span the adjacency section");
   for (std::uint64_t v = 0; v < n; ++v) {
@@ -145,11 +146,17 @@ MappedGraph MappedGraph::open(const std::string& path) {
         reject(path, "adjacency rows are not strictly sorted");
     }
   }
-  for (std::uint64_t v = 0; v < n; ++v)
-    for (VertexId w : view.neighbors(static_cast<VertexId>(v)))
-      if (view.neighbor_index(w, static_cast<VertexId>(v)) == GraphView::npos)
+  // Symmetry, one cursor per vertex: sweeping u ascending meets each v's
+  // in-neighbours in the order of v's sorted row, so the slot (u -> v) is
+  // matched by v's next unread slot, which must hold u.
+  std::vector<std::size_t> next(offsets, offsets + n);
+  for (std::uint64_t u = 0; u < n; ++u)
+    for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const auto v = static_cast<std::size_t>(adjacency[i]);
+      if (next[v] == offsets[v + 1] ||
+          adjacency[next[v]++] != static_cast<VertexId>(u))
         reject(path, "adjacency is not symmetric");
-
+    }
   mg.view_ = view;
   return mg;
 }

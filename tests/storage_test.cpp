@@ -174,6 +174,53 @@ TEST(Pgcsr, RejectsBadMagicVersionAndChecksum) {
   }
 }
 
+/// Writes raw CSR arrays through write_pgcsr (so the checksums are valid)
+/// and expects open() to refuse them, naming `why`.
+void expect_structural_rejection(const std::vector<std::size_t>& offsets,
+                                 const std::vector<VertexId>& adjacency,
+                                 const std::string& why) {
+  const TempDir dir;
+  const std::string path = dir.file("bad.pgcsr");
+  write_pgcsr_file(GraphView(offsets, adjacency), path);
+  try {
+    MappedGraph::open(path);
+    ADD_FAILURE() << "accepted a file whose CSR should fail: " << why;
+  } catch (const PreconditionViolation& error) {
+    EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Pgcsr, RejectsStructuralViolationsBehindValidChecksums) {
+  // The path 0 - 1 - 2 is the valid baseline.
+  {
+    const TempDir dir;
+    const std::vector<std::size_t> offsets = {0, 1, 3, 4};
+    const std::vector<VertexId> adjacency = {1, 0, 2, 1};
+    write_pgcsr_file(GraphView(offsets, adjacency), dir.file("ok.pgcsr"));
+    EXPECT_EQ(MappedGraph::open(dir.file("ok.pgcsr")).num_edges(), 2u);
+  }
+  // One-directional slots: 0 -> 1 with no 1 -> 0, and (one cursor past
+  // the first) 0 -> 2 where row 2 holds only 1.
+  expect_structural_rejection({0, 1, 1, 2}, {1, 0}, "not symmetric");
+  expect_structural_rejection({0, 2, 3, 4}, {1, 2, 0, 1}, "not symmetric");
+  // Slots into an empty last row: the cursor must stop at the row's end
+  // rather than read past the adjacency section.
+  expect_structural_rejection({0, 1, 2, 2}, {2, 2}, "not symmetric");
+  // An unsorted row (a symmetric triangle with row 0 reversed).
+  expect_structural_rejection({0, 2, 4, 6}, {2, 1, 0, 2, 0, 1},
+                              "not strictly sorted");
+  // A duplicate within a row (the edge 0 - 1 listed twice both ways).
+  expect_structural_rejection({0, 2, 4}, {1, 1, 0, 0}, "not strictly sorted");
+  // Self-loops.
+  expect_structural_rejection({0, 2, 4}, {0, 1, 0, 1}, "self-loop");
+  // Ids out of range, above and below.
+  expect_structural_rejection({0, 1, 2}, {1, 2}, "out of range");
+  expect_structural_rejection({0, 1, 2}, {-1, 0}, "out of range");
+  // Descending offsets (row 1 would run from slot 2 back to slot 1).
+  expect_structural_rejection({0, 2, 1, 2}, {1, 2}, "not ascending");
+}
+
 TEST(Pgcsr, RejectsMissingFilesAndNonFiles) {
   EXPECT_THROW(MappedGraph::open("/nonexistent/graph.pgcsr"),
                PreconditionViolation);
