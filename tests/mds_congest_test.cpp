@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/estimator.hpp"
 #include "core/mds_congest.hpp"
 #include "graph/cover.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
+#include "scenario/scenario.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/greedy.hpp"
 #include "util/rng.hpp"
@@ -122,6 +126,200 @@ TEST(MdsCongest, TinyInputs) {
   const auto two = solve_g2_mds_congest(graph::path_graph(2), alg_rng);
   EXPECT_TRUE(graph::is_dominating_set_of_square(graph::path_graph(2),
                                                  two.dominating_set));
+}
+
+// ------------------------------------------------------------- golden ---
+
+std::uint64_t set_hash(const std::vector<VertexId>& ids) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the sorted ids
+  for (VertexId v : ids) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct MdsGolden {
+  const char* scenario;
+  VertexId n;
+  std::uint64_t seed;  // builds the graph; the algorithm's Rng is derived
+  int max_phases;      // 0: the default cap
+  std::size_t size;
+  std::uint64_t hash;
+  int phases;
+  std::int64_t rounds;
+  std::int64_t messages;
+  std::int64_t total_bits;
+  bool used_fallback;
+};
+
+// Recorded from the engine that stepped every node in every round.  The
+// power-law rows are the benchmark's congest grid at n = 1000; the small
+// rows cover the oracle grid's families; the last two cap the phases so
+// the self-join fallback runs.
+constexpr MdsGolden kMdsGolden[] = {
+    {"chung-lu", 1000, 1, 0, 105, 0x789c6ab12f60dafbull,
+     10, 2390, 2158046, 80333019, false},
+    {"chung-lu", 1000, 2, 0, 100, 0x042f9b302c38ffcaull,
+     13, 3107, 2681729, 99880731, false},
+    {"chung-lu", 1000, 3, 0, 101, 0x8f5e5b764965f6f2ull,
+     14, 3346, 2962111, 110509116, false},
+    {"chung-lu", 1000, 4, 0, 107, 0x344f1720e358d24aull,
+     9, 2151, 1989188, 73705555, false},
+    {"ba", 1000, 1, 0, 47, 0x30b9f79c39f116d1ull,
+     9, 2151, 1898110, 70395786, false},
+    {"ba", 1000, 2, 0, 47, 0x5bcb668101331acbull,
+     9, 2151, 1929602, 71261660, false},
+    {"ba", 1000, 3, 0, 50, 0xad24822a10c1f20cull,
+     9, 2151, 1879818, 69903314, false},
+    {"ba", 1000, 4, 0, 39, 0xae2a00a24b609cd5ull,
+     9, 2151, 1870870, 69786279, false},
+    {"ba", 24, 7, 0, 3, 0xa940e54f3a8f798aull,
+     2, 298, 9668, 342204, false},
+    {"ba", 40, 7, 0, 3, 0x98025f4f30d0e38eull,
+     2, 334, 18096, 645522, false},
+    {"ba", 64, 7, 0, 4, 0x7ff5dc98268e6341ull,
+     2, 334, 29583, 1054337, false},
+    {"chung-lu", 24, 7, 0, 4, 0x42b168a0907acdd2ull,
+     2, 298, 10992, 386090, false},
+    {"chung-lu", 40, 7, 0, 3, 0xa9072e4f3a5e7d4eull,
+     3, 501, 24598, 874365, false},
+    {"chung-lu", 64, 7, 0, 5, 0x4905af8557f04f0dull,
+     3, 501, 43010, 1558648, false},
+    {"geo-torus", 24, 7, 0, 4, 0x17c187da9d47df61ull,
+     2, 298, 10540, 378880, false},
+    {"geo-torus", 40, 7, 0, 7, 0x9f44fa6fedb61ebcull,
+     3, 501, 26636, 964887, false},
+    {"geo-torus", 64, 7, 0, 10, 0xa9dd3dd35ac5cb9cull,
+     2, 334, 32403, 1170770, false},
+    {"gnp-sparse", 24, 7, 0, 4, 0xceb3bad2786453b2ull,
+     3, 447, 12887, 461422, false},
+    {"gnp-sparse", 40, 7, 0, 5, 0x62cae8b47b9e052bull,
+     2, 334, 17725, 639279, false},
+    {"gnp-sparse", 64, 7, 0, 10, 0x0ecaa22b155e26f1ull,
+     2, 334, 27159, 986593, false},
+    {"planted", 24, 7, 0, 5, 0x43977986be176511ull,
+     2, 298, 7848, 280541, false},
+    {"planted", 40, 7, 0, 3, 0xcc20934f4e608323ull,
+     2, 334, 30580, 1106382, false},
+    {"planted", 64, 7, 0, 2, 0x9a691d00c548c9f9ull,
+     2, 334, 75923, 2664318, false},
+    {"regular-4", 24, 7, 0, 4, 0xa7bf0587b4d70eb1ull,
+     2, 298, 10343, 370998, false},
+    {"regular-4", 40, 7, 0, 7, 0x379d50615edd7be3ull,
+     2, 334, 20456, 742002, false},
+    {"regular-4", 64, 7, 0, 10, 0x4c7313b979a2d0bdull,
+     2, 334, 31768, 1161488, false},
+    {"tree", 24, 7, 0, 5, 0x8d423d70c09d4ea3ull,
+     3, 447, 6479, 228792, false},
+    {"tree", 40, 7, 0, 8, 0xbee30534eabd0f0aull,
+     4, 668, 14916, 532350, false},
+    {"tree", 64, 7, 0, 15, 0xe9905e36eea4725cull,
+     4, 668, 24921, 888953, false},
+    {"grid", 24, 7, 0, 6, 0xafab6f26db42b32eull,
+     2, 298, 8487, 302998, false},
+    {"grid", 40, 7, 0, 9, 0xf9c4d015d0a0e94aull,
+     3, 501, 20631, 746275, false},
+    {"grid", 64, 7, 0, 13, 0x46f18806571fc63aull,
+     4, 668, 41422, 1504397, false},
+    {"chung-lu", 1000, 1, 2, 168, 0xf967d0a0a638858eull,
+     2, 478, 703055, 25352196, true},
+    {"tree", 64, 7, 1, 38, 0x184eaee335cf0815ull,
+     1, 167, 9150, 320895, true},
+};
+
+std::uint64_t algorithm_seed(std::uint64_t seed) { return seed * 1000 + 17; }
+
+MdsCongestResult run_golden(const Graph& g, const MdsGolden& golden,
+                            int threads) {
+  congest::Network net(g);
+  net.set_threads(threads);
+  Rng rng(algorithm_seed(golden.seed));
+  MdsCongestConfig config;
+  config.max_phases = golden.max_phases;
+  return solve_g2_mds_congest(net, rng, config);
+}
+
+TEST(MdsCongestGolden, RunsMatchRecordedRuns) {
+  for (const MdsGolden& golden : kMdsGolden) {
+    const Graph g =
+        scenario::scenario_or_throw(golden.scenario).build(golden.n,
+                                                           golden.seed);
+    for (const int threads : {1, 3}) {
+      // Three threads fan every phase out, however small the graph.
+      const congest::detail::FanOutSeam::Force force;
+      const std::int64_t fanned =
+          congest::detail::FanOutSeam::fanned_out_phases();
+      const MdsCongestResult result = run_golden(g, golden, threads);
+      const std::string label = std::string(golden.scenario) + "/n" +
+                                std::to_string(golden.n) + "/seed" +
+                                std::to_string(golden.seed) + "/threads" +
+                                std::to_string(threads);
+      const std::vector<VertexId> ids = result.dominating_set.to_vector();
+      EXPECT_EQ(ids.size(), golden.size) << label;
+      EXPECT_EQ(set_hash(ids), golden.hash) << label;
+      EXPECT_EQ(result.phases, golden.phases) << label;
+      EXPECT_EQ(result.stats.rounds, golden.rounds) << label;
+      EXPECT_EQ(result.stats.messages, golden.messages) << label;
+      EXPECT_EQ(result.stats.total_bits, golden.total_bits) << label;
+      EXPECT_EQ(result.used_fallback, golden.used_fallback) << label;
+      EXPECT_EQ(result.stats.faults, congest::FaultStats{}) << label;
+      EXPECT_EQ(congest::detail::FanOutSeam::fanned_out_phases() > fanned,
+                threads > 1)
+          << label;
+    }
+  }
+}
+
+TEST(MdsCongestGolden, FaultedRunsMatchRecordedRuns) {
+  // Drops alone: the run completes, and its result and fault counts are
+  // pinned.  Drops, corruption and three crash-stops: a crashed node that
+  // was never covered stays uncovered, so the phase loop runs until the
+  // simulator's round budget (64n + 16384) stops it; the traffic and fault
+  // counts up to that point are pinned instead.
+  const Graph g40 = scenario::scenario_or_throw("chung-lu").build(40, 5);
+  const Graph g24 = scenario::scenario_or_throw("chung-lu").build(24, 5);
+  congest::FaultModel drops;
+  drops.drop_rate = 0.05;
+  drops.seed = 29;
+  congest::FaultModel hostile = drops;
+  hostile.corrupt_rate = 0.05;
+  hostile.crash_schedule = {{5, 3}, {9, 11}, {14, 19}};
+  for (const int threads : {1, 3}) {
+    const congest::detail::FanOutSeam::Force force;
+    const std::string label = "threads " + std::to_string(threads);
+    {
+      congest::Network net(g40);
+      net.set_threads(threads);
+      net.set_fault_model(drops);
+      Rng rng(algorithm_seed(5));
+      const MdsCongestResult result = solve_g2_mds_congest(net, rng);
+      const std::vector<VertexId> ids = result.dominating_set.to_vector();
+      EXPECT_EQ(ids.size(), 2u) << label;
+      EXPECT_EQ(set_hash(ids), 0x9a65ac00c545d41full) << label;
+      EXPECT_EQ(result.phases, 2) << label;
+      EXPECT_EQ(result.stats.rounds, 334) << label;
+      EXPECT_EQ(result.stats.messages, 16544) << label;
+      EXPECT_EQ(result.stats.total_bits, 585940) << label;
+      EXPECT_FALSE(result.used_fallback) << label;
+      EXPECT_EQ(result.stats.faults, (congest::FaultStats{761, 0, 0, 334}))
+          << label;
+    }
+    {
+      congest::Network net(g24);
+      net.set_threads(threads);
+      net.set_fault_model(hostile);
+      Rng rng(algorithm_seed(5));
+      EXPECT_THROW(solve_g2_mds_congest(net, rng), PreconditionViolation)
+          << label;
+      EXPECT_EQ(net.stats().rounds, 17920) << label;
+      EXPECT_EQ(net.stats().messages, 325864) << label;
+      EXPECT_EQ(net.stats().total_bits, 11890503) << label;
+      EXPECT_EQ(net.stats().faults,
+                (congest::FaultStats{16327, 15683, 3, 17920}))
+          << label;
+    }
+  }
 }
 
 }  // namespace
