@@ -318,9 +318,12 @@ BENCHMARK(BM_CongestBroadcastRound)->Arg(128)->Arg(512);
 // Args: {n, threads, bcast}; bcast 1 = every node reads its inbox and
 // broadcasts the minimum id it has seen (a flooding round: n steps plus
 // ~2m inbox entries, then a pull sweep over the 2m slots), bcast 0 = quiet
-// (n steps that find their inbox empty, no delivery).  The crossover
-// between these rows is the evidence for the simulator's fan-out cutoff
-// (congest::kFanOutMinWork).
+// (n steps that find their inbox empty, no delivery), bcast 2 = a quiet
+// wake round that wakes every 100th node (n/100 steps, no delivery).  The
+// crossover between the first two kinds is the evidence for the
+// simulator's fan-out cutoff (congest::kFanOutMinWork); the wake rows
+// should cost about a hundredth of the quiet ones, tracking the awake
+// count rather than n.
 void BM_CongestRoundThreads(benchmark::State& state) {
   Rng rng(7);
   const Graph g = graph::link_components(graph::chung_lu(
@@ -336,19 +339,23 @@ void BM_CongestRoundThreads(benchmark::State& state) {
   const auto quiet = [](congest::NodeView& node) {
     benchmark::DoNotOptimize(node.inbox().empty());
   };
-  const bool read_and_broadcast = state.range(2) == 1;
+  std::vector<congest::NodeId> wake;
+  for (congest::NodeId v = 0; v < g.num_vertices(); v += 100)
+    wake.push_back(v);
+  const std::int64_t kind = state.range(2);
   const auto round = [&] {
-    if (read_and_broadcast) net.round(flood);
+    if (kind == 1) net.round(flood);
+    else if (kind == 2) net.round(wake, quiet);
     else net.round(quiet);
   };
   for (int i = 0; i < 3; ++i) round();  // fill inboxes, warm buffers + pool
   for (auto _ : state) round();
-  state.SetLabel(read_and_broadcast ? "read+bcast" : "quiet");
+  state.SetLabel(kind == 1 ? "read+bcast" : kind == 2 ? "wake n/100" : "quiet");
 }
 BENCHMARK(BM_CongestRoundThreads)
     ->ArgNames({"n", "threads", "bcast"})
     ->Apply([](benchmark::internal::Benchmark* b) {
-      for (const int bcast : {1, 0})
+      for (const int bcast : {1, 0, 2})
         for (const int n : {1000, 10000, 100000})
           for (const int threads : {1, 2, 4}) b->Args({n, threads, bcast});
     })

@@ -12,6 +12,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 
 #include "util/check.hpp"
@@ -184,23 +185,22 @@ class PackedMessage {
     return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
   }
 
-  void store(unsigned __int128 acc) {
-    w_[0] = static_cast<std::uint32_t>(acc);
-    w_[1] = static_cast<std::uint32_t>(acc >> 32);
-    w_[2] = static_cast<std::uint32_t>(acc >> 64);
-    w_[3] = static_cast<std::uint32_t>(acc >> 96);
-  }
+  // The four words are the accumulator's little-endian limbs, so one
+  // 16-byte copy moves them (the per-word shift assembly spilled through
+  // the stack in hot read loops).
+  void store(unsigned __int128 acc) { std::memcpy(w_, &acc, sizeof w_); }
   unsigned __int128 load() const {
-    return static_cast<unsigned __int128>(w_[0]) |
-           (static_cast<unsigned __int128>(w_[1]) << 32) |
-           (static_cast<unsigned __int128>(w_[2]) << 64) |
-           (static_cast<unsigned __int128>(w_[3]) << 96);
+    unsigned __int128 acc;
+    std::memcpy(&acc, w_, sizeof acc);
+    return acc;
   }
 
   std::uint32_t w_[4] = {0, 0, 0, 0};
 };
 
 static_assert(sizeof(PackedMessage) == 16);
+static_assert(std::endian::native == std::endian::little,
+              "PackedMessage copies its words as a little-endian integer");
 static_assert(alignof(PackedMessage) == 4);
 
 /// A delivered message read in place: `kind` and `num_fields` are copied

@@ -1,6 +1,7 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -72,8 +73,9 @@ std::size_t Network::buffer_bytes() const {
   };
   std::size_t sum = bytes(first_slot_, reverse_slot_, slot_round_,
                           round_staged_, unicast_round_, receivers_,
-                          round_bcasters_, bcast_round_, bcast_msg_,
-                          inbox_arena_, inbox_count_, wide_send_, wide_inbox_);
+                          awake_, wake_bits_, round_bcasters_, bcast_round_,
+                          bcast_msg_, inbox_arena_, inbox_count_, wide_send_,
+                          wide_inbox_);
   for (const auto& t : tallies_) sum += bytes(t.staged, t.bcasters);
   return sum;
 }
@@ -249,6 +251,8 @@ void Network::rebuild() {
   fit_capacity(inbox_count_, n);
   fit_capacity(round_bcasters_, n);
   fit_capacity(receivers_, n);
+  fit_capacity(awake_, n);
+  fit_capacity(wake_bits_, (n + 63) / 64);
   // Each worker's send staging holds at most what the merged round lists
   // do (and the inline merge trades buffers with them), so it gets the
   // same policy — shrunk before set_threads() below clears it.
@@ -278,6 +282,8 @@ void Network::rebuild() {
   round_bcasters_.clear();
   receivers_.clear();
   counts_dense_ = false;
+  awake_.clear();
+  wake_bits_.assign((n + 63) / 64, 0);
 
   // A rebind is a new cell: any installed adversary dies with the old
   // topology (the sweep runner re-installs per cell).
@@ -303,6 +309,76 @@ void Network::init_unicast_buffers() {
 
 void Network::round(const std::function<void(NodeView&)>& step) {
   round<const std::function<void(NodeView&)>&>(step);
+}
+
+void Network::check_wake(std::span<const NodeId> wake) const {
+  const auto num_nodes = static_cast<NodeId>(n());
+  NodeId previous = -1;
+  for (const NodeId v : wake) {
+    PG_REQUIRE(v >= 0 && v < num_nodes,
+               "CONGEST: wake list names a node outside the network");
+    PG_REQUIRE(v > previous,
+               "CONGEST: wake list must ascend without repeats");
+    previous = v;
+  }
+}
+
+std::span<const NodeId> Network::awake_nodes(std::span<const NodeId> wake) {
+  if (receivers_.empty()) return wake;
+  // Mark every receiver and wake node, then read the marks back in id
+  // order between the lowest and highest marked word, clearing as we go.
+  std::uint64_t* bits = wake_bits_.data();
+  auto mark = [bits](NodeId v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    bits[u >> 6] |= std::uint64_t{1} << (u & 63);
+  };
+  NodeId lo = receivers_.front();
+  NodeId hi = lo;
+  for (const NodeId r : receivers_) {
+    mark(r);
+    lo = std::min(lo, r);
+    hi = std::max(hi, r);
+  }
+  if (!wake.empty()) {
+    for (const NodeId v : wake) mark(v);
+    lo = std::min(lo, wake.front());
+    hi = std::max(hi, wake.back());
+  }
+  awake_.clear();
+  for (auto w = static_cast<std::size_t>(lo) >> 6;
+       w <= static_cast<std::size_t>(hi) >> 6; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+      awake_.push_back(static_cast<NodeId>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word))));
+    bits[w] = 0;
+  }
+  return awake_;
+}
+
+void Network::reject_send_slot(std::size_t v, std::uint32_t dst,
+                               int bits) const {
+  const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
+  PG_REQUIRE(slot_round_[dst] != now && bcast_round_[v] != now,
+             "CONGEST: one message per edge per direction per round");
+  PG_REQUIRE(bits <= bandwidth_,
+             "CONGEST: message exceeds O(log n) bandwidth");
+}
+
+void Network::check_broadcast(std::size_t v, int bits) const {
+  const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
+  PG_REQUIRE(bits <= bandwidth_,
+             "CONGEST: message exceeds O(log n) bandwidth");
+  PG_REQUIRE(bcast_round_[v] != now,
+             "CONGEST: one message per edge per direction per round");
+  if (unicast_round_[v] == now) {
+    // The sender already unicast this round: none of those edges may
+    // carry the broadcast too.
+    const std::uint32_t begin = first_slot_[v];
+    const std::uint32_t end = first_slot_[v + 1];
+    for (std::uint32_t e = begin; e < end; ++e)
+      PG_REQUIRE(slot_round_[reverse_slot_[e]] != now,
+                 "CONGEST: one message per edge per direction per round");
+  }
 }
 
 void Network::run_step_phase(const std::function<void(int)>& body) {
@@ -408,9 +484,23 @@ void Network::deliver() {
         const std::uint32_t begin = first_slot_[v];
         const std::uint32_t end = first_slot_[v + 1];
         std::uint32_t k = 0;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const auto u = static_cast<std::size_t>(adj[e]);
-          if (bcast_round_[u] == now) put(e, begin, k, bcast_msg_[u], ft);
+        if (!faults_on) {
+          // Branch-free append: write every slot's candidate entry at the
+          // cursor and advance it on a stamp hit.  The cursor never passes
+          // e - begin, so the write stays inside v's own slot range, and
+          // entries past the final count are stale-but-unread.
+          for (std::uint32_t e = begin; e < end; ++e) {
+            const auto u = static_cast<std::size_t>(adj[e]);
+            detail::PackedIncoming& in = arena[begin + k];
+            in.reply_slot = e - begin;
+            in.msg = bcast_msg_[u];
+            k += bcast_round_[u] == now ? 1 : 0;
+          }
+        } else {
+          for (std::uint32_t e = begin; e < end; ++e) {
+            const auto u = static_cast<std::size_t>(adj[e]);
+            if (bcast_round_[u] == now) put(e, begin, k, bcast_msg_[u], ft);
+          }
         }
         inbox_count_[v] = k;
       }

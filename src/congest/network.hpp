@@ -32,6 +32,20 @@
 // sorted by sender id, ascending (both paths visit senders in id order).
 // Algorithms may rely on this; a regression test pins it.
 //
+// Wake rounds.  `net.round(wake, step)` steps, in ascending id order, only
+// the nodes that have mail this round plus the nodes in `wake` (sorted
+// ascending, no repeats, every id in [0, n)).  The caller promises that
+// every other node's step would do nothing — no send, no state change that
+// anything reads — so the round's sends, deliveries and stats are exactly
+// those of the full sweep.  After a push the mail holders are the push's
+// receiver list, so a quiet round costs O(awake + senders), not O(n).
+// After a pull every count is dense, and the round falls back to the full
+// sweep.  A fanned-out wake round splits its awake list over the same
+// worker ranges as a full one, so bytes stay identical at any thread
+// count.  Crash-stops are decided in the round prologue whether or not a
+// node is awake, so a crash that hits a sleeping node lands in the same
+// round as under the full sweep.
+//
 // Parallel rounds.  `set_threads(w)` lets each phase of a round split over
 // up to w workers on contiguous node ranges balanced by adjacency mass (the
 // same partitioning proven byte-identical in
@@ -73,6 +87,7 @@
 // primitive they invoke (leader election, BFS-tree building, pipelining).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <concepts>
@@ -192,6 +207,7 @@ class Network;
 namespace detail {
 
 struct FanOutSeam;
+struct WakeSeam;
 
 /// A staged unicast: the receiver-side slot it lands in plus the packed
 /// payload.  Unicast messages live only here (and in the merged per-round
@@ -327,44 +343,18 @@ class Network {
   template <typename Step>
     requires std::invocable<Step&, NodeView&>
   void round(Step&& step) {
-    // Cancellation point for the sweep runner's per-cell watchdog: an
-    // over-budget CONGEST cell unwinds at its next round boundary (one
-    // pointer load + null check when no token is installed).  The poll
-    // stays on the driver thread — workers never see the token.
-    pg::cancel::poll();
-    // Round stamps are 32-bit (4 bytes × 2m slots matter at 10⁶ nodes).
-    PG_REQUIRE(stats_.rounds < std::numeric_limits<std::int32_t>::max(),
-               "CONGEST: round counter exceeds 32-bit stamp range");
-    // Crash-stop prologue + round-budget guard, on the driver thread so
-    // crash decisions are made exactly once regardless of worker count.
-    // `crashed_` is read-only for the rest of the round, so the skip in
-    // the (possibly parallel) step loops below is race-free.
-    if (faults_enabled_ || round_limit_ >= 0) begin_faulty_round();
-    // Every node steps and reads what the last round delivered to it.
-    const bool fan_out =
-        fans_out(n() + static_cast<std::size_t>(last_round_messages_));
-    if (!fan_out) {
-      const auto num_nodes = static_cast<NodeId>(n());
-      detail::SendTally& tally = tallies_[0];
-      for (NodeId v = 0; v < num_nodes; ++v) {
-        if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
-          continue;
-        NodeView view(this, v, &tally);
-        step(view);
-      }
-    } else {
-      run_step_phase([this, &step](int t) {
-        detail::SendTally& tally = tallies_[static_cast<std::size_t>(t)];
-        const NodeId hi = bounds_[static_cast<std::size_t>(t) + 1];
-        for (NodeId v = bounds_[static_cast<std::size_t>(t)]; v < hi; ++v) {
-          if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
-            continue;
-          NodeView view(this, v, &tally);
-          step(view);
-        }
-      });
-    }
-    merge_and_deliver(fan_out);
+    run_round(step, nullptr);
+  }
+
+  /// A wake round (see the header comment): steps, in ascending id order,
+  /// the nodes with mail this round plus the nodes in `wake`, which must be
+  /// sorted ascending, repeat-free and inside [0, n).  The caller promises
+  /// that every other node's step would do nothing.  Falls back to the full
+  /// sweep after a pull delivery, whose inbox counts are dense.
+  template <typename Step>
+    requires std::invocable<Step&, NodeView&>
+  void round(std::span<const NodeId> wake, Step&& step) {
+    run_round(step, &wake);
   }
 
   /// Type-erased overload for ABI-stable callers (function pointers handed
@@ -398,6 +388,79 @@ class Network {
  private:
   friend class NodeView;
   friend struct detail::FanOutSeam;
+  friend struct detail::WakeSeam;
+
+  /// The one step loop behind both round() overloads (`wake` null: every
+  /// node steps), so each step callable is instantiated once.
+  template <typename Step>
+  void run_round(Step& step, const std::span<const NodeId>* wake) {
+    // Cancellation point for the sweep runner's per-cell watchdog: an
+    // over-budget CONGEST cell unwinds at its next round boundary (one
+    // pointer load + null check when no token is installed).  The poll
+    // stays on the driver thread — workers never see the token.
+    pg::cancel::poll();
+    // Round stamps are 32-bit (4 bytes × 2m slots matter at 10⁶ nodes).
+    PG_REQUIRE(stats_.rounds < std::numeric_limits<std::int32_t>::max(),
+               "CONGEST: round counter exceeds 32-bit stamp range");
+    if (wake != nullptr) check_wake(*wake);
+    // Crash-stop prologue + round-budget guard, on the driver thread so
+    // crash decisions are made exactly once regardless of worker count.
+    // `crashed_` is read-only for the rest of the round, so the skip in
+    // the (possibly parallel) step loop below is race-free.
+    if (faults_enabled_ || round_limit_ >= 0) begin_faulty_round();
+    // A wake round after a push steps only its awake list; every other
+    // round steps every node.  Either way each stepped node reads what the
+    // last round delivered to it.
+    const bool sparse = wake != nullptr && !counts_dense_ &&
+                        !force_full_sweep_.load(std::memory_order_relaxed);
+    const std::span<const NodeId> awake =
+        sparse ? awake_nodes(*wake) : std::span<const NodeId>{};
+    const std::size_t count = sparse ? awake.size() : n();
+    if (sparse) ++sparse_rounds_;
+    auto step_nodes = [&](std::size_t lo, std::size_t hi,
+                          detail::SendTally& tally) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const NodeId v = sparse ? awake[i] : static_cast<NodeId>(i);
+        if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
+          continue;
+        NodeView view(this, v, &tally);
+        step(view);
+      }
+    };
+    const bool fan_out =
+        fans_out(count + static_cast<std::size_t>(last_round_messages_));
+    if (!fan_out) {
+      step_nodes(0, count, tallies_[0]);
+    } else {
+      run_step_phase([&](int t) {
+        const auto w = static_cast<std::size_t>(t);
+        const NodeId lo = bounds_[w];
+        const NodeId hi = bounds_[w + 1];
+        if (!sparse) {
+          step_nodes(static_cast<std::size_t>(lo),
+                     static_cast<std::size_t>(hi), tallies_[w]);
+          return;
+        }
+        // The awake list is ascending, so worker w's nodes are the
+        // contiguous run inside its id range [lo, hi).
+        const auto first = std::lower_bound(awake.begin(), awake.end(), lo);
+        const auto last = std::lower_bound(first, awake.end(), hi);
+        step_nodes(static_cast<std::size_t>(first - awake.begin()),
+                   static_cast<std::size_t>(last - awake.begin()),
+                   tallies_[w]);
+      });
+    }
+    merge_and_deliver(fan_out);
+  }
+
+  /// Rejects a wake list that is unsorted, repeats a node or names one
+  /// outside [0, n).
+  void check_wake(std::span<const NodeId> wake) const;
+
+  /// The nodes a wake round steps, ascending: `wake` itself when the last
+  /// push reached no one, else `wake` merged with that push's receivers
+  /// through the wake bitmap, in O(receivers + |wake| + id span / 64).
+  std::span<const NodeId> awake_nodes(std::span<const NodeId> wake);
 
   /// True iff a phase of `work` units runs on the worker pool.
   bool fans_out(std::size_t work) const {
@@ -420,11 +483,10 @@ class Network {
     const std::size_t e = first_slot_[v] + local_slot;
     const std::uint32_t dst = reverse_slot_[e];
     const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
-    PG_REQUIRE(slot_round_[dst] != now && bcast_round_[v] != now,
-               "CONGEST: one message per edge per direction per round");
     const int bits = m.logical_bits();
-    PG_REQUIRE(bits <= bandwidth_,
-               "CONGEST: message exceeds O(log n) bandwidth");
+    if (slot_round_[dst] == now || bcast_round_[v] == now ||
+        bits > bandwidth_) [[unlikely]]
+      reject_send_slot(v, dst, bits);
     slot_round_[dst] = now;
     unicast_round_[v] = now;
     tally.staged.push_back({dst, encode_message(m)});
@@ -440,28 +502,34 @@ class Network {
   void do_broadcast(NodeId from, const Message& m,
                     detail::SendTally& tally) {
     const int bits = m.logical_bits();
-    PG_REQUIRE(bits <= bandwidth_,
-               "CONGEST: message exceeds O(log n) bandwidth");
     const auto v = static_cast<std::size_t>(from);
     const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
-    PG_REQUIRE(bcast_round_[v] != now,
-               "CONGEST: one message per edge per direction per round");
-    const std::uint32_t begin = first_slot_[v];
-    const std::uint32_t end = first_slot_[v + 1];
-    if (unicast_round_[v] == now) {
-      // Only a sender that already unicast this round can collide; keep
-      // everyone else's broadcast O(1).
-      for (std::uint32_t e = begin; e < end; ++e)
-        PG_REQUIRE(slot_round_[reverse_slot_[e]] != now,
-                   "CONGEST: one message per edge per direction per round");
-    }
+    // Only a sender that already unicast this round can collide, so the
+    // per-edge check runs on that (rare) path alone and everyone else's
+    // broadcast stays O(1).
+    if (bits > bandwidth_ || bcast_round_[v] == now ||
+        unicast_round_[v] == now) [[unlikely]]
+      check_broadcast(v, bits);
     bcast_round_[v] = now;
     bcast_msg_[v] = encode_message(m);
     tally.bcasters.push_back(from);
-    const auto deg = static_cast<std::int64_t>(end - begin);
+    const auto deg =
+        static_cast<std::int64_t>(first_slot_[v + 1] - first_slot_[v]);
     tally.messages += deg;
     tally.bits += bits * deg;
   }
+
+  /// The discipline checks of do_send_slot, out of line: throws the
+  /// first violated one.  Reached only when one of them fails.
+  [[gnu::cold, gnu::noinline]] void reject_send_slot(std::size_t v,
+                                                     std::uint32_t dst,
+                                                     int bits) const;
+
+  /// The discipline checks of do_broadcast, out of line: throws the first
+  /// violated one, and returns when a sender that already unicast this
+  /// round collides on none of its edges.
+  [[gnu::cold, gnu::noinline]] void check_broadcast(std::size_t v,
+                                                    int bits) const;
 
   /// Runs `body(t)` for every worker t with exception capture; the first
   /// failing worker's exception (= the first failing node in ascending id
@@ -569,6 +637,11 @@ class Network {
   // or (counts_dense_) any node after a pull sweep.
   std::vector<NodeId> receivers_;
   bool counts_dense_ = false;
+  // Wake-round scratch: the merged awake list, and a bitmap (one bit per
+  // node, all clear between rounds) that sorts receivers and wake list
+  // into it without a comparison sort.
+  std::vector<NodeId> awake_;
+  std::vector<std::uint64_t> wake_bits_;
 
   // Overflow pools for messages too wide for the narrow packed encoding,
   // in two generations: sends of the round in flight append to
@@ -595,6 +668,10 @@ class Network {
   // Test seam state (see detail::FanOutSeam), process-wide.
   static inline std::atomic<bool> force_fan_out_{false};
   static inline std::atomic<std::int64_t> fanned_out_phases_{0};
+  // Test seam state (see detail::WakeSeam): the process-wide full-sweep
+  // switch, and this network's wake rounds that stepped a sparse list.
+  static inline std::atomic<bool> force_full_sweep_{false};
+  std::int64_t sparse_rounds_ = 0;
 
   // Fault-injection state.  Thresholds are the precomputed hash cutoffs
   // (0 = stream disabled); crashed_ is written only in the driver-thread
@@ -633,6 +710,23 @@ struct FanOutSeam {
   }
   static bool pool_started(const Network& net) {
     return net.pool_ != nullptr;
+  }
+};
+
+/// Test-only seam into wake rounds (no public option reaches it): with a
+/// FullSweep alive every wake round steps every node, which must not change
+/// a byte of any run whose callers keep the wake-round promise.
+struct WakeSeam {
+  struct FullSweep {
+    FullSweep() { Network::force_full_sweep_.store(true); }
+    ~FullSweep() { Network::force_full_sweep_.store(false); }
+    FullSweep(const FullSweep&) = delete;
+    FullSweep& operator=(const FullSweep&) = delete;
+  };
+  /// Wake rounds of `net` that stepped a sparse awake list since its
+  /// construction.
+  static std::int64_t sparse_rounds(const Network& net) {
+    return net.sparse_rounds_;
   }
 };
 

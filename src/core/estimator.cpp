@@ -66,6 +66,10 @@ EstimateResult estimate_two_hop_counts(Network& net,
   std::vector<std::uint32_t> one_hop_min(n, 0);
   std::vector<std::uint32_t> my_draw(
       n, static_cast<std::uint32_t>(quant.infinity));
+  // Round 1's wake list: only members send, and no one else acts on it.
+  std::vector<congest::NodeId> members;
+  for (std::size_t v = 0; v < n; ++v)
+    if (membership[v]) members.push_back(static_cast<congest::NodeId>(v));
 
   for (int j = 0; j < samples; ++j) {
     // Round 1: members broadcast a fresh exponential draw.  The draws are
@@ -77,7 +81,7 @@ EstimateResult estimate_two_hop_counts(Network& net,
       my_draw[v] = static_cast<std::uint32_t>(
           membership[v] ? quant.encode(rng.next_exponential())
                         : quant.infinity);
-    net.round([&](NodeView& node) {
+    net.round(members, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       if (!membership[me]) return;
       node.broadcast(Message{kSample, {my_draw[me]}});

@@ -96,11 +96,15 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
   std::vector<NodeId> vote_of(n, -1);
 
   // Fixed-point quantizer settings mirrored from the estimator: the voting
-  // minima reuse the same idea but carry an explicit candidate id.
-  // The voting message carries a candidate id (≈ bandwidth/16 bits) next
-  // to the sample, so its fixed-point payload is a little narrower.
-  const int qbits =
-      std::clamp(net.bandwidth() - 9 - net.bandwidth() / 16 - 1, 6, 32);
+  // minima reuse the same idea but carry an explicit candidate id.  The
+  // widest vote, kVoteW {candidate id <= n - 1, draw <= qinf}, must fit
+  // B(n): 8 tag bits, the id's significant bits, and qbits + 1 for the
+  // draw.  That leaves at least 5 bits at n = 2 (B = 16) and matches the
+  // budget's old estimate of the id as ⌈log₂ n⌉ + 1 bits at every n >= 3.
+  const int qbits = std::min(
+      net.bandwidth() - 9 -
+          Message::significant_bits(static_cast<std::int64_t>(n) - 1),
+      32);
   const std::int64_t qscale = std::int64_t{1} << (qbits - 4);
   const std::int64_t qinf = (std::int64_t{1} << qbits) - 1;
   auto qencode = [&](double w) {
@@ -146,6 +150,10 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
     std::uint32_t min;
   };
   std::vector<std::vector<CandidateNeighbor>> candidate_neighbors(n);
+  // Wake lists, built once per phase: the rounds that only candidates or
+  // only voters act in step just those nodes and whoever holds mail.
+  std::vector<NodeId> candidates;
+  std::vector<NodeId> voters;
 
   while (!all_covered() && result.phases < max_phases) {
     ++result.phases;
@@ -176,8 +184,11 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox()) fold_rho(me, in);
     });
-    for (std::size_t v = 0; v < n; ++v)
+    candidates.clear();
+    for (std::size_t v = 0; v < n; ++v) {
       is_candidate[v] = rho[v] >= 1 && rho[v] >= best_rho[v];
+      if (is_candidate[v]) candidates.push_back(static_cast<NodeId>(v));
+    }
 
     // --- step 3: voting ----------------------------------------------------
     draw.assign(n, -1);
@@ -224,6 +235,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
     });
 
     // --- step 4: estimate votes per candidate (3-round cadence) -----------
+    voters.clear();
+    for (std::size_t v = 0; v < n; ++v)
+      if (vote_of[v] != -1) voters.push_back(static_cast<NodeId>(v));
     vote_sum.assign(n, 0.0);
     vote_samples_seen.assign(n, 0);
     voter_draw.assign(n, qinf);
@@ -234,7 +248,7 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       for (std::size_t v = 0; v < n; ++v)
         voter_draw[v] = static_cast<std::uint32_t>(
             vote_of[v] == -1 ? qinf : qencode(rng.next_exponential()));
-      net.round([&](NodeView& node) {
+      net.round(voters, [&](NodeView& node) {
         const auto me = static_cast<std::size_t>(node.id());
         if (vote_of[me] == -1) return;
         node.broadcast(Message{kVoteW, {vote_of[me], voter_draw[me]}});
@@ -246,8 +260,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       // array with min = 0 meaning "no vote seen", reproducing the
       // presence semantics of the std::map it replaced (a legal vote may
       // equal qinf, so the sentinel must be out of band; qencode never
-      // returns 0).
-      net.round([&](NodeView& node) {
+      // returns 0).  Candidates wake to record their direct minimum; any
+      // other node acts only on votes it holds.
+      net.round(candidates, [&](NodeView& node) {
         const auto me = static_cast<std::size_t>(node.id());
         auto& cands = candidate_neighbors[me];
         for (CandidateNeighbor& c : cands) c.min = 0;
@@ -280,7 +295,7 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
                            Message{kVoteMin, {static_cast<std::int64_t>(c.min)}});
       });
       // r3: candidates fold direct + forwarded minima into the estimate.
-      net.round([&](NodeView& node) {
+      net.round(candidates, [&](NodeView& node) {
         const auto me = static_cast<std::size_t>(node.id());
         if (!is_candidate[me]) return;
         std::int64_t best = direct_min[me];
@@ -300,7 +315,7 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
     // bitset between rounds: VertexSet::insert packs many nodes per word,
     // so it cannot be written from concurrent steps.
     joined.assign(n, 0);
-    net.round([&](NodeView& node) {
+    net.round(candidates, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       if (!is_candidate[me]) return;
       const double votes = vote_sum[me] > 0

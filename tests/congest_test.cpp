@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -492,6 +495,20 @@ TEST(Network, RebindToASmallTopologyShrinksOversizedBuffers) {
               8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16))
         << threads << " threads";
   }
+  // The wake-round scratch too: a wake round right after a push that
+  // reached every node merges all n of them into the awake list.
+  Network net(graph::path_graph(40000));
+  net.round([](NodeView& node) { node.send_slot(0, Message{1, {}}); });
+  std::vector<NodeId> everyone(net.n());
+  std::iota(everyone.begin(), everyone.end(), NodeId{0});
+  std::size_t stepped = 0;
+  net.round(everyone, [&](NodeView&) { ++stepped; });
+  EXPECT_EQ(stepped, net.n());
+  EXPECT_EQ(detail::WakeSeam::sparse_rounds(net), 1);
+  net.reset(graph::path_graph(8));
+  Network fresh(graph::path_graph(8));
+  EXPECT_LE(net.buffer_bytes(),
+            8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16));
 }
 
 // One delivered (or expected) message: (sender, kind, field 0, field 1).
@@ -679,6 +696,199 @@ TEST(Network, DeliveryMatchesReferenceModelOnEveryPath) {
             << where << ", round " << r;
     }
   }
+}
+
+// One wake-round schedule entry: `wake` is the round's wake list (nullopt:
+// a full round); nodes in `senders` broadcast; with `reply`, every other
+// stepped node that holds mail answers its first sender.
+struct WakeStep {
+  std::optional<std::vector<NodeId>> wake;
+  std::vector<NodeId> senders;
+  bool reply = false;
+};
+
+// What one run of the wake schedule observed, per round: the stepped nodes
+// (in call order when every step ran on the driver thread, else sorted),
+// every stepped node's inbox, and the stats after the round.
+struct WakeRun {
+  std::vector<std::vector<NodeId>> stepped;
+  std::vector<std::vector<std::vector<Delivery>>> inboxes;
+  std::vector<RoundStats> stats;
+  std::int64_t fanned_out = 0;  // round phases that ran on the worker pool
+};
+
+WakeRun run_wake_schedule(const Graph& g, int threads,
+                          std::span<const WakeStep> schedule,
+                          const FaultModel& faults) {
+  Network net(g);
+  net.set_threads(threads);
+  if (faults.enabled()) net.set_fault_model(faults);
+  const std::size_t n = net.n();
+  WakeRun run;
+  std::vector<std::vector<Delivery>> expected(n);
+  std::mutex order_mutex;
+  // Each thread must step its nodes in ascending id order: a thread
+  // remembers the last (run, round, node) it stepped.
+  static std::atomic<std::int64_t> runs{0};
+  const std::int64_t run_id = ++runs;
+  thread_local std::array<std::int64_t, 3> last_stepped{-1, -1, -1};
+  const std::int64_t fanned_before = detail::FanOutSeam::fanned_out_phases();
+  for (std::size_t r = 0; r < schedule.size(); ++r) {
+    const WakeStep& round = schedule[r];
+    const auto now = static_cast<std::int64_t>(r);
+    std::vector<NodeId> order;
+    std::vector<std::vector<Delivery>> observed(n);
+    std::vector<std::vector<std::pair<NodeId, Delivery>>> sent(n);
+    const std::int64_t fanned = detail::FanOutSeam::fanned_out_phases();
+    auto step = [&](NodeView& node) {
+      const NodeId v = node.id();
+      const auto me = static_cast<std::size_t>(v);
+      {
+        const std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(v);
+      }
+      if (last_stepped[0] == run_id && last_stepped[1] == now)
+        EXPECT_LT(last_stepped[2], v) << "round " << r;
+      last_stepped = {run_id, now, v};
+      for (const Incoming& in : node.inbox())
+        observed[me].push_back({in.from, in.msg.kind, in.msg.at(0),
+                                in.msg.at(1)});
+      const bool sends = std::binary_search(round.senders.begin(),
+                                            round.senders.end(), v);
+      if (sends) {
+        node.broadcast(Message{1, {v, now}});
+        for (NodeId u : node.neighbors()) sent[me].push_back({u, {v, 1, v, now}});
+      } else if (round.reply && !node.inbox().empty()) {
+        const Incoming first = node.inbox()[0];
+        node.reply(first, Message{2, {v, now}});
+        sent[me].push_back({first.from, {v, 2, v, now}});
+      }
+    };
+    if (round.wake)
+      net.round(*round.wake, step);
+    else
+      net.round(step);
+    const bool inline_round =
+        detail::FanOutSeam::fanned_out_phases() == fanned;
+    if (!inline_round) std::sort(order.begin(), order.end());
+    run.stepped.push_back(order);
+    run.inboxes.push_back(observed);
+    run.stats.push_back(net.stats());
+    // Every stepped node read exactly the mail the oracle addressed to it.
+    for (const NodeId v : order)
+      EXPECT_EQ(observed[static_cast<std::size_t>(v)],
+                expected[static_cast<std::size_t>(v)])
+          << "node " << v << ", round " << r;
+    for (auto& inbox : expected) inbox.clear();
+    for (std::size_t u = 0; u < n; ++u)
+      for (const auto& [to, d] : sent[u])
+        expected[static_cast<std::size_t>(to)].push_back(d);
+    for (auto& inbox : expected) std::sort(inbox.begin(), inbox.end());
+  }
+  run.fanned_out = detail::FanOutSeam::fanned_out_phases() - fanned_before;
+  return run;
+}
+
+TEST(Network, WakeRoundsStepExactlyTheAwakeNodes) {
+  Rng rng(67);
+  const Graph g = graph::connected_gnp(70, 0.12, rng);
+  const auto n = static_cast<NodeId>(g.num_vertices());
+  // Every node outside N[10] broadcasts: a pull that leaves 10 mail-free.
+  std::vector<NodeId> dense;
+  for (NodeId v = 0; v < n; ++v)
+    if (v != 10 && g.neighbor_index(v, 10) == Graph::npos) dense.push_back(v);
+  const std::vector<WakeStep> schedule = {
+      /* 0 */ {std::nullopt, {}, false},             // full, quiet
+      /* 1 */ {std::vector<NodeId>{}, {}, true},     // empty list, no mail
+      /* 2 */ {std::vector<NodeId>{3, 20, 41, 69}, {3, 20, 41, 69}, false},
+      /* 3 */ {std::vector<NodeId>{}, {}, true},     // mail only
+      /* 4 */ {std::vector<NodeId>{0, 3, 60}, {0, 60}, true},  // overlapping
+      /* 5 */ {std::nullopt, dense, false},          // full, pulled
+      /* 6 */ {std::vector<NodeId>{5, 7}, {5, 7}, false},  // after the pull
+      /* 7 */ {std::vector<NodeId>{1, 2}, {1}, true},  // 2 and 30 crash
+      /* 8 */ {std::vector<NodeId>{30, 31}, {30, 31}, true},
+      /* 9 */ {std::vector<NodeId>{}, {}, true},
+  };
+  FaultModel crashes;
+  crashes.crash_schedule = {{7, 2}, {7, 30}};
+
+  // The expected stepped set: every live node in full rounds and after the
+  // pull, else the mail holders plus the wake list, minus crashed nodes.
+  // Mail holders are read off the full-sweep run, whose every live node
+  // matched the oracle.
+  auto expected_stepped = [&](std::size_t r,
+                              const std::vector<std::vector<Delivery>>& mail) {
+    std::vector<NodeId> want;
+    for (NodeId v = 0; v < n; ++v) {
+      if (r >= 7 && (v == 2 || v == 30)) continue;
+      const WakeStep& round = schedule[r];
+      const bool awake =
+          !round.wake || r == 6 || !mail[static_cast<std::size_t>(v)].empty() ||
+          std::binary_search(round.wake->begin(), round.wake->end(), v);
+      if (awake) want.push_back(v);
+    }
+    return want;
+  };
+
+  const WakeRun reference = [&] {
+    const detail::WakeSeam::FullSweep sweep_all;
+    return run_wake_schedule(g, 1, schedule, crashes);
+  }();
+  for (const bool force : {false, true}) {
+    for (const int threads : {1, 2, 3}) {
+      std::optional<detail::FanOutSeam::Force> forced;
+      if (force) forced.emplace();
+      const std::string where = std::to_string(threads) + " threads" +
+                                (force ? ", forced fan-out" : "");
+      const WakeRun run = run_wake_schedule(g, threads, schedule, crashes);
+      EXPECT_EQ(run.fanned_out > 0, force && threads > 1) << where;
+      for (std::size_t r = 0; r < schedule.size(); ++r) {
+        const std::string at = where + ", round " + std::to_string(r);
+        EXPECT_EQ(run.stats[r], reference.stats[r]) << at;
+        EXPECT_EQ(run.stepped[r], expected_stepped(r, reference.inboxes[r]))
+            << at;
+        // Stepped nodes read the same inboxes as under the full sweep.
+        for (const NodeId v : run.stepped[r])
+          EXPECT_EQ(run.inboxes[r][static_cast<std::size_t>(v)],
+                    reference.inboxes[r][static_cast<std::size_t>(v)])
+              << at << ", node " << v;
+      }
+      EXPECT_EQ(run.stats.back().faults.nodes_crashed, 2) << where;
+    }
+  }
+  // The schedule reaches every case it names.
+  auto want = [&](std::size_t r) {
+    return expected_stepped(r, reference.inboxes[r]);
+  };
+  auto has_mail = [&](std::size_t r, NodeId v) {
+    return !reference.inboxes[r][static_cast<std::size_t>(v)].empty();
+  };
+  EXPECT_TRUE(want(1).empty());
+  EXPECT_EQ(want(2), (std::vector<NodeId>{3, 20, 41, 69}));
+  EXPECT_FALSE(want(3).empty());
+  EXPECT_TRUE(has_mail(4, 3));   // woken and holding mail
+  EXPECT_FALSE(has_mail(4, 0));  // woken without mail
+  EXPECT_GT(want(4).size(), 3u);
+  EXPECT_EQ(want(6).size(), static_cast<std::size_t>(n));
+  EXPECT_FALSE(has_mail(6, 10));  // stepped only because of the pull
+  EXPECT_LT(want(7).size(), static_cast<std::size_t>(n) / 2);
+  // The full sweep stepped every live node in every round.
+  for (std::size_t r = 0; r < schedule.size(); ++r)
+    EXPECT_EQ(reference.stepped[r].size(),
+              static_cast<std::size_t>(r >= 7 ? n - 2 : n))
+        << "round " << r;
+}
+
+TEST(Network, WakeListMustAscendInsideTheNetwork) {
+  Network net(graph::path_graph(5));
+  auto idle = [](NodeView&) {};
+  const std::vector<std::vector<NodeId>> bad = {
+      {3, 1}, {2, 2}, {0, 5}, {-1, 2}};
+  for (const std::vector<NodeId>& wake : bad)
+    EXPECT_THROW(net.round(wake, idle), PreconditionViolation);
+  EXPECT_EQ(net.stats().rounds, 0);
+  net.round(std::vector<NodeId>{0, 4}, idle);
+  EXPECT_EQ(net.stats().rounds, 1);
 }
 
 TEST(Primitives, LeaderElectionFindsMinId) {

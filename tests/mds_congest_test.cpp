@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "graph/cover.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/greedy.hpp"
@@ -117,6 +119,25 @@ TEST(MdsCongest, StarIsSolvedByOneVertex) {
   const MdsCongestResult result = solve_g2_mds_congest(g, alg_rng);
   EXPECT_TRUE(graph::is_dominating_set_of_square(g, result.dominating_set));
   EXPECT_LE(result.dominating_set.size(), 2u);
+}
+
+TEST(MdsCongest, VotesFitTheBandwidthOfTwoNodes) {
+  // At n = 2, B(n) = 16 bits leaves a vote {candidate id, draw} five bits
+  // of draw.  A six-bit draw overflowed the bandwidth on these seeds of
+  // `sweep --scenarios path --algorithms mds --sizes 2`.
+  scenario::SweepSpec spec;
+  spec.scenarios = {"path"};
+  spec.algorithms = {"mds"};
+  spec.sizes = {2};
+  spec.seeds = {623,  634,  848,  871,  895,  970,  1305,
+                1310, 1759, 2145, 2271, 2829, 2924, 2941};
+  const scenario::SweepResult result = scenario::run_sweep(spec);
+  ASSERT_EQ(result.cells.size(), spec.seeds.size());
+  for (const scenario::CellResult& cell : result.cells) {
+    EXPECT_EQ(cell.status, scenario::CellStatus::kOk)
+        << "seed " << cell.spec.seed << ": " << cell.error;
+    EXPECT_TRUE(cell.feasible) << "seed " << cell.spec.seed;
+  }
 }
 
 TEST(MdsCongest, TinyInputs) {
@@ -230,31 +251,47 @@ constexpr MdsGolden kMdsGolden[] = {
 
 std::uint64_t algorithm_seed(std::uint64_t seed) { return seed * 1000 + 17; }
 
-MdsCongestResult run_golden(const Graph& g, const MdsGolden& golden,
-                            int threads) {
+struct GoldenRun {
+  MdsCongestResult result;
+  std::int64_t sparse_rounds = 0;  // wake rounds that stepped a sparse list
+};
+
+GoldenRun run_golden(const Graph& g, const MdsGolden& golden, int threads) {
   congest::Network net(g);
   net.set_threads(threads);
   Rng rng(algorithm_seed(golden.seed));
   MdsCongestConfig config;
   config.max_phases = golden.max_phases;
-  return solve_g2_mds_congest(net, rng, config);
+  GoldenRun run;
+  run.result = solve_g2_mds_congest(net, rng, config);
+  run.sparse_rounds = congest::detail::WakeSeam::sparse_rounds(net);
+  return run;
 }
 
 TEST(MdsCongestGolden, RunsMatchRecordedRuns) {
+  // Every row matches with wake rounds stepping only awake nodes and with
+  // every wake round forced back to the full sweep.
   for (const MdsGolden& golden : kMdsGolden) {
     const Graph g =
         scenario::scenario_or_throw(golden.scenario).build(golden.n,
                                                            golden.seed);
-    for (const int threads : {1, 3}) {
+    for (const int mode : {0, 1, 2, 3}) {
+      const int threads = mode % 2 == 0 ? 1 : 3;
+      const bool full_sweep = mode >= 2;
+      std::optional<congest::detail::WakeSeam::FullSweep> sweep_all;
+      if (full_sweep) sweep_all.emplace();
       // Three threads fan every phase out, however small the graph.
       const congest::detail::FanOutSeam::Force force;
       const std::int64_t fanned =
           congest::detail::FanOutSeam::fanned_out_phases();
-      const MdsCongestResult result = run_golden(g, golden, threads);
+      const GoldenRun run = run_golden(g, golden, threads);
+      const MdsCongestResult& result = run.result;
       const std::string label = std::string(golden.scenario) + "/n" +
                                 std::to_string(golden.n) + "/seed" +
                                 std::to_string(golden.seed) + "/threads" +
-                                std::to_string(threads);
+                                std::to_string(threads) +
+                                (full_sweep ? "/full-sweep" : "");
+      EXPECT_EQ(run.sparse_rounds > 0, !full_sweep) << label;
       const std::vector<VertexId> ids = result.dominating_set.to_vector();
       EXPECT_EQ(ids.size(), golden.size) << label;
       EXPECT_EQ(set_hash(ids), golden.hash) << label;
@@ -285,9 +322,13 @@ TEST(MdsCongestGolden, FaultedRunsMatchRecordedRuns) {
   congest::FaultModel hostile = drops;
   hostile.corrupt_rate = 0.05;
   hostile.crash_schedule = {{5, 3}, {9, 11}, {14, 19}};
-  for (const int threads : {1, 3}) {
+  for (const int mode : {0, 1, 2, 3}) {
+    const int threads = mode % 2 == 0 ? 1 : 3;
+    std::optional<congest::detail::WakeSeam::FullSweep> sweep_all;
+    if (mode >= 2) sweep_all.emplace();
     const congest::detail::FanOutSeam::Force force;
-    const std::string label = "threads " + std::to_string(threads);
+    const std::string label = "threads " + std::to_string(threads) +
+                              (mode >= 2 ? ", full sweep" : "");
     {
       congest::Network net(g40);
       net.set_threads(threads);
