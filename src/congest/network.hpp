@@ -417,8 +417,10 @@ class Network {
         sparse ? awake_nodes(*wake) : std::span<const NodeId>{};
     const std::size_t count = sparse ? awake.size() : n();
     if (sparse) ++sparse_rounds_;
+    // Out of line, so the step body is compiled once per callable rather
+    // than once per call site (inline and each worker's task).
     auto step_nodes = [&](std::size_t lo, std::size_t hi,
-                          detail::SendTally& tally) {
+                          detail::SendTally& tally) __attribute__((noinline)) {
       for (std::size_t i = lo; i < hi; ++i) {
         const NodeId v = sparse ? awake[i] : static_cast<NodeId>(i);
         if (faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0)
