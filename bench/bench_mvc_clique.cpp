@@ -29,7 +29,7 @@ void scaling_table() {
   Rng alg_rng(41);
   core::MvcCliqueConfig config;
   config.epsilon = 0.25;
-  config.leader_exact = false;
+  config.leader_solver = core::LeaderSolver::kFiveThirds;
   for (VertexId n : {64, 128, 256, 512}) {
     const Graph g = graph::connected_gnp(n, 8.0 / n, rng);
     const auto det = core::solve_g2_mvc_clique_deterministic(g, config);
@@ -83,7 +83,7 @@ void sqrt_n_table() {
     const Graph g = graph::connected_gnp(n, 8.0 / n, rng);
     core::MvcCliqueConfig config;
     config.epsilon = 1.0 / std::sqrt(static_cast<double>(n));
-    config.leader_exact = false;
+    config.leader_solver = core::LeaderSolver::kFiveThirds;
     const auto result = core::solve_g2_mvc_clique_deterministic(g, config);
     PG_CHECK(graph::is_vertex_cover_of_square(g, result.cover),
              "invalid cover");

@@ -120,7 +120,7 @@ void leader_ablation_table() {
   for (auto [name, solver] :
        {std::pair{"Thm1 exact leader", core::LeaderSolver::kExact},
         std::pair{"Cor17 5/3 leader", core::LeaderSolver::kFiveThirds},
-        std::pair{"2-approx leader", core::LeaderSolver::kTwoApprox}}) {
+        std::pair{"local-ratio leader", core::LeaderSolver::kLocalRatio}}) {
     core::MvcCongestConfig config;
     config.epsilon = 0.5;
     config.leader_solver = solver;

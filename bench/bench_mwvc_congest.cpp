@@ -39,7 +39,8 @@ void round_scaling_table() {
       for (double eps : {0.5, 0.25}) {
         core::MwvcCongestConfig config;
         config.epsilon = eps;
-        config.leader_exact = false;  // 2-approx leader keeps big runs fast
+        // The local-ratio leader keeps big runs fast.
+        config.leader_solver = core::LeaderSolver::kLocalRatio;
         const auto result = core::solve_g2_mwvc_congest(g, w, config);
         const int l = result.epsilon_inverse;
         const std::size_t f_bound = static_cast<std::size_t>(n) * 2 *

@@ -257,4 +257,39 @@ std::vector<char> downcast_tokens(
   return got_own_id;
 }
 
+std::vector<char> select_two_hop_max(
+    Network& net, const std::vector<char>& is_candidate,
+    std::uint8_t candidate_kind, std::uint8_t max_kind,
+    const std::function<Message(NodeId)>& select) {
+  const std::size_t n = net.n();
+  std::vector<NodeId> max1(n, -1);
+  std::vector<char> won(n, 0);
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    NodeId best = is_candidate[me] != 0 ? node.id() : -1;
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == candidate_kind) best = std::max(best, in.from);
+    max1[me] = best;
+    node.broadcast(Message{max_kind, {best}});
+  });
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    NodeId best = max1[me];
+    // Field-count guard + id clamp: adversarial corruption can flip
+    // payload bits (an out-of-range id re-broadcast by a caller would blow
+    // the bandwidth check at small n) or forge the kind of a field-less
+    // message.  Both are identities on fault-free traffic.
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == max_kind && in.msg.num_fields >= 1)
+        best = std::max(best, static_cast<NodeId>(std::clamp<std::int64_t>(
+                                  in.msg.at(0), -1,
+                                  static_cast<std::int64_t>(n) - 1)));
+    if (is_candidate[me] != 0 && best == node.id()) {
+      won[me] = 1;
+      node.broadcast(select(node.id()));
+    }
+  });
+  return won;
+}
+
 }  // namespace pg::congest

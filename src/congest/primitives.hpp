@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -47,5 +48,15 @@ std::vector<std::uint64_t> upcast_tokens(
 std::vector<char> downcast_tokens(
     Network& net, const BfsTree& tree,
     const std::vector<std::uint64_t>& tokens);
+
+/// Max-id symmetry breaking over two hops, two rounds: every node floods
+/// the largest candidate id it heard (`candidate_kind` announcements in
+/// this round's inbox, its own id if it is a candidate) under `max_kind`;
+/// a candidate that holds the largest id within two hops then broadcasts
+/// `select(id)`.  Returns the winners as byte flags.
+std::vector<char> select_two_hop_max(
+    Network& net, const std::vector<char>& is_candidate,
+    std::uint8_t candidate_kind, std::uint8_t max_kind,
+    const std::function<Message(NodeId)>& select);
 
 }  // namespace pg::congest

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <map>
-#include <set>
 
-#include "core/mvc_centralized.hpp"
 #include "core/trivial.hpp"
-#include "graph/ops.hpp"
-#include "solvers/exact_vc.hpp"
 
 namespace pg::core {
 
@@ -18,7 +12,6 @@ using clique::Incoming;
 using clique::Message;
 using clique::NodeId;
 using clique::NodeView;
-using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
 using graph::VertexSet;
@@ -30,128 +23,57 @@ constexpr std::uint8_t kCandidate = 22;  // field 0: r_c (randomized) / 0
 constexpr std::uint8_t kMaxCand = 23;    // deterministic symmetry breaking
 constexpr std::uint8_t kTake = 24;       // center takes its neighborhood
 constexpr std::uint8_t kVote = 25;       // field 0: id of chosen candidate
-constexpr std::uint8_t kFEdge = 26;      // field 0: packed F-edge
+constexpr std::uint8_t kFEdge = 26;      // field 0: core F-edge token
 constexpr std::uint8_t kInCover = 27;    // field 0: 1 iff recipient in R*
 
 /// Shared Phase II (Lemma 9): node 0 acts as leader (ids are common
 /// knowledge in the clique, so no election is needed).  Every node streams
-/// its incident F-edges to the leader, one per round; the leader
-/// reconstructs H = G^2[U] (Lemma 3), solves it, and answers every node
-/// with a dedicated message in a single final round.
+/// its F-edges to the leader, one core token per round (the leader's own
+/// are local knowledge); the leader solves H = G^2[U] (solve_at_leader)
+/// and answers every node with a dedicated message in one final round.
 void learn_and_solve(CliqueNetwork& net, const std::vector<bool>& in_u,
                      const MvcCliqueConfig& config, MvcCliqueResult& result) {
   const std::size_t n = net.n();
-
-  std::vector<std::deque<std::uint64_t>> queue(n);
+  std::vector<std::vector<std::uint64_t>> queue(n);
   net.round([&](NodeView& node) {
     node.send_to_graph_neighbors(
         Message{kStatus, {in_u[static_cast<std::size_t>(node.id())] ? 1 : 0}});
   });
   net.round([&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kStatus || in.msg.at(0) != 1) continue;
-      const auto a = static_cast<std::uint64_t>(node.id());
-      const auto b = static_cast<std::uint64_t>(in.from);
-      queue[me].push_back(((a * n + b) << 1) | (in_u[me] ? 1u : 0u));
-    }
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kStatus && in.msg.at(0) == 1)
+        queue[me].push_back(encode_f_edge(n, node.id(), in.from, in_u[me]));
   });
 
-  // Leader-side accumulators (only node 0's callback writes them).
-  std::set<std::pair<VertexId, VertexId>> f_edges;
-  std::map<VertexId, std::vector<VertexId>> u_neighbors;
-  auto leader_absorb = [&](std::uint64_t token) {
-    const bool sender_in_u = token & 1u;
-    const std::uint64_t pair = token >> 1;
-    const auto sender = static_cast<VertexId>(pair / n);
-    const auto nbr = static_cast<VertexId>(pair % n);  // nbr is in U
-    const auto key = std::minmax(sender, nbr);
-    f_edges.insert({key.first, key.second});
-    u_neighbors[sender].push_back(nbr);
-    if (sender_in_u) u_neighbors[nbr].push_back(sender);
-  };
-
-  auto any_queued = [&]() {
-    for (const auto& q : queue)
-      if (!q.empty()) return true;
-    return false;
-  };
-  while (any_queued()) {
+  // The stream lasts as long as the longest non-leader queue (one round if
+  // only the leader has edges), plus one round for the last tokens to land.
+  std::vector<std::uint64_t> received = queue[0];
+  std::size_t stream_rounds = received.empty() ? 0 : 1;
+  for (std::size_t v = 1; v < n; ++v)
+    stream_rounds = std::max(stream_rounds, queue[v].size());
+  for (std::size_t k = 0; k <= stream_rounds; ++k)
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
-      if (node.id() == 0) {
+      if (me == 0) {
         for (const Incoming& in : node.inbox())
           if (in.msg.kind == kFEdge)
-            leader_absorb(static_cast<std::uint64_t>(in.msg.at(0)));
-        while (!queue[me].empty()) {  // leader's own edges are local info
-          leader_absorb(queue[me].front());
-          queue[me].pop_front();
-        }
-        return;
-      }
-      if (!queue[me].empty()) {
+            received.push_back(static_cast<std::uint64_t>(in.msg.at(0)));
+      } else if (k < queue[me].size()) {
         node.send(0, Message{kFEdge,
-                             {static_cast<std::int64_t>(queue[me].front())}});
-        queue[me].pop_front();
+                             {static_cast<std::int64_t>(queue[me][k])}});
       }
     });
-  }
-  // One more round so the last in-flight tokens reach the leader.
-  net.round([&](NodeView& node) {
-    if (node.id() != 0) return;
-    for (const Incoming& in : node.inbox())
-      if (in.msg.kind == kFEdge)
-        leader_absorb(static_cast<std::uint64_t>(in.msg.at(0)));
-  });
-  result.f_edge_count = f_edges.size();
 
-  // Leader-local: build H = G^2[U] from F and solve it.
-  std::vector<bool> known_in_u(n, false);
-  for (const auto& [w, nbrs] : u_neighbors)
-    for (VertexId u : nbrs) {
-      (void)w;
-      known_in_u[static_cast<std::size_t>(u)] = true;
-    }
-  std::vector<VertexId> u_list;
-  for (std::size_t v = 0; v < n; ++v)
-    if (known_in_u[v]) u_list.push_back(static_cast<VertexId>(v));
-  std::vector<VertexId> to_h(n, -1);
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h[static_cast<std::size_t>(u_list[i])] = static_cast<VertexId>(i);
-
-  graph::GraphBuilder h_builder(static_cast<VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges)
-    if (to_h[static_cast<std::size_t>(u)] != -1 &&
-        to_h[static_cast<std::size_t>(v)] != -1)
-      h_builder.add_edge(to_h[static_cast<std::size_t>(u)],
-                         to_h[static_cast<std::size_t>(v)]);
-  for (auto& [w, nbrs] : u_neighbors) {
-    (void)w;
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        h_builder.add_edge(to_h[static_cast<std::size_t>(nbrs[i])],
-                           to_h[static_cast<std::size_t>(nbrs[j])]);
-  }
-  const Graph h = std::move(h_builder).build();
-
-  VertexSet h_cover(h.num_vertices());
-  if (config.leader_exact) {
-    const solvers::ExactResult exact =
-        solvers::solve_mvc(h, config.exact_node_budget);
-    result.leader_solution_optimal = exact.optimal;
-    h_cover = exact.solution;
-  } else {
-    h_cover = five_thirds_cover(h);
-    result.leader_solution_optimal = false;
-  }
+  const LeaderSolve leader =
+      solve_at_leader(n, received, nullptr, config.leader_solver,
+                      config.exact_node_budget, /*adversarial=*/false);
+  result.f_edge_count = leader.f_edge_count;
+  result.leader_solution_optimal = leader.optimal;
   std::vector<bool> in_rstar(n, false);
-  for (VertexId hv : h_cover.to_vector())
-    in_rstar[static_cast<std::size_t>(u_list[static_cast<std::size_t>(hv)])] =
-        true;
+  for (VertexId v : leader.cover)
+    in_rstar[static_cast<std::size_t>(v)] = true;
 
-  // Single answer round: the leader tells every node its membership.
   net.round([&](NodeView& node) {
     if (node.id() != 0) return;
     for (NodeId other = 1; other < static_cast<NodeId>(n); ++other)
@@ -160,14 +82,27 @@ void learn_and_solve(CliqueNetwork& net, const std::vector<bool>& in_u,
                                                                           : 0}});
   });
   net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    if (node.id() == 0) {
-      if (in_rstar[me]) result.cover.insert(node.id());
-      return;
-    }
+    bool member = node.id() == 0 && in_rstar[0];
     for (const Incoming& in : node.inbox())
-      if (in.msg.kind == kInCover && in.msg.at(0) == 1)
-        result.cover.insert(node.id());
+      member = member || (in.msg.kind == kInCover && in.msg.at(0) == 1);
+    if (member) result.cover.insert(node.id());
+  });
+}
+
+/// Phase I's opening round: every node still in R that hears a kTake
+/// joins the cover; with `announce`, every node then tells its graph
+/// neighbors whether it is still in R.
+void apply_takes(CliqueNetwork& net, std::vector<bool>& in_r, bool announce,
+                 VertexSet& cover) {
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kTake && in_r[me]) {
+        in_r[me] = false;
+        cover.insert(node.id());
+      }
+    if (announce)
+      node.send_to_graph_neighbors(Message{kStatus, {in_r[me] ? 1 : 0}});
   });
 }
 
@@ -184,15 +119,7 @@ int deterministic_phase1(CliqueNetwork& net, int l, std::vector<bool>& in_r,
 
   bool any_candidate = true;
   while (any_candidate) {
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-      node.send_to_graph_neighbors(Message{kStatus, {in_r[me] ? 1 : 0}});
-    });
+    apply_takes(net, in_r, /*announce=*/true, result.cover);
     any_candidate = false;
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
@@ -230,68 +157,28 @@ int deterministic_phase1(CliqueNetwork& net, int l, std::vector<bool>& in_r,
   return iterations;
 }
 
-}  // namespace
-
-MvcCliqueResult solve_g2_mvc_clique_deterministic(
-    GraphView g, const MvcCliqueConfig& config) {
-  PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
-  MvcCliqueResult result;
-  result.cover = VertexSet(g.num_vertices());
-  if (g.num_vertices() <= 1) return result;
-  if (config.epsilon >= 1.0) {
-    result.cover = trivial_power_cover(g);
-    return result;
-  }
-  const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
-
-  CliqueNetwork net(g);
-  std::vector<bool> in_r(net.n(), true);
-  result.phases = deterministic_phase1(net, l, in_r, result);
-  result.phase1_cover_size = result.cover.size();
-  learn_and_solve(net, in_r, config, result);
-  result.stats = net.stats();
-  return result;
-}
-
-MvcCliqueResult solve_g2_mvc_clique_randomized(GraphView g, Rng& rng,
-                                               const MvcCliqueConfig& config) {
-  PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
-  MvcCliqueResult result;
-  result.cover = VertexSet(g.num_vertices());
-  if (g.num_vertices() <= 1) return result;
-  if (config.epsilon >= 1.0) {
-    result.cover = trivial_power_cover(g);
-    return result;
-  }
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+/// Theorem 11's voting Phase I; returns its phase count.
+int randomized_phase1(CliqueNetwork& net, double epsilon, Rng& rng,
+                      std::vector<bool>& in_r, MvcCliqueResult& result) {
+  const std::size_t n = net.n();
   // A candidate leaves C once d_R(c) <= 8/ε + 2 (Theorem 11).
-  const int threshold = static_cast<int>(std::ceil(8.0 / config.epsilon)) + 2;
+  const int threshold = static_cast<int>(std::ceil(8.0 / epsilon)) + 2;
   const std::uint64_t r_range = static_cast<std::uint64_t>(n) * n * n * n;
-
-  CliqueNetwork net(g);
-  std::vector<bool> in_r(n, true);
   std::vector<bool> in_c(n, true);
   std::vector<bool> is_candidate(n, false);
   std::vector<int> r_deg(n, 0);
   std::vector<std::int64_t> my_draw(n, 0);
 
-  // W.h.p. O(log n) phases suffice (potential argument); the cap below is a
-  // deterministic safety net that falls back to the ε n-round Phase I.
+  // W.h.p. O(log n) phases suffice (potential argument); the cap below is
+  // a deterministic safety net that falls back to the ε n-round Phase I.
   const int phase_cap =
       200 * (static_cast<int>(std::ceil(std::log2(std::max<double>(n, 2)))) + 1);
 
+  int phases = 0;
   bool any_candidate = true;
-  while (any_candidate && result.phases < phase_cap) {
+  while (any_candidate && phases < phase_cap) {
     // Round 1: apply takes, announce R status.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-      node.send_to_graph_neighbors(Message{kStatus, {in_r[me] ? 1 : 0}});
-    });
+    apply_takes(net, in_r, /*announce=*/true, result.cover);
 
     // Round 2: update d_R, drop below-threshold centers, draw r_c.
     any_candidate = false;
@@ -311,8 +198,8 @@ MvcCliqueResult solve_g2_mvc_clique_randomized(GraphView g, Rng& rng,
     });
     if (!any_candidate) break;
 
-    // Round 3: R-vertices vote for the highest-draw candidate neighbor and
-    // inform all their candidate neighbors of the vote.
+    // Round 3: R-vertices vote for the highest-draw candidate neighbor
+    // and inform all their candidate neighbors of the vote.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       if (!in_r[me]) return;
@@ -344,29 +231,62 @@ MvcCliqueResult solve_g2_mvc_clique_randomized(GraphView g, Rng& rng,
         node.send_to_graph_neighbors(Message{kTake, {}});
       }
     });
-    ++result.phases;
+    ++phases;
   }
 
   if (any_candidate) {
     // Safety fallback (never expected): finish deterministically.
-    const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
-    result.phases += deterministic_phase1(net, l, in_r, result);
-  } else {
-    // Drain the last kTake messages (sent in the final phase's round 4).
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-    });
+    const int l = static_cast<int>(std::ceil(1.0 / epsilon));
+    return phases + deterministic_phase1(net, l, in_r, result);
   }
+  // Drain the last kTake messages (sent in the final phase's round 4).
+  apply_takes(net, in_r, /*announce=*/false, result.cover);
+  return phases;
+}
 
+/// Common driver: the trivial-cover early-outs, Phase I via `phase1`
+/// (which returns its phase count), then the leader step.
+template <typename Phase1>
+MvcCliqueResult run_clique_mvc(GraphView g, const MvcCliqueConfig& config,
+                               Phase1&& phase1) {
+  PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
+  MvcCliqueResult result;
+  result.cover = VertexSet(g.num_vertices());
+  if (g.num_vertices() <= 1) return result;
+  if (config.epsilon >= 1.0) {
+    result.cover = trivial_power_cover(g);
+    return result;
+  }
+  CliqueNetwork net(g);
+  std::vector<bool> in_r(net.n(), true);
+  result.phases = phase1(net, in_r, result);
   result.phase1_cover_size = result.cover.size();
   learn_and_solve(net, in_r, config, result);
   result.stats = net.stats();
   return result;
+}
+
+}  // namespace
+
+MvcCliqueResult solve_g2_mvc_clique_deterministic(
+    GraphView g, const MvcCliqueConfig& config) {
+  return run_clique_mvc(
+      g, config,
+      [&](CliqueNetwork& net, std::vector<bool>& in_r,
+          MvcCliqueResult& result) {
+        const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
+        return deterministic_phase1(net, l, in_r, result);
+      });
+}
+
+MvcCliqueResult solve_g2_mvc_clique_randomized(GraphView g, Rng& rng,
+                                               const MvcCliqueConfig& config) {
+  return run_clique_mvc(g, config,
+                        [&](CliqueNetwork& net, std::vector<bool>& in_r,
+                            MvcCliqueResult& result) {
+                          return randomized_phase1(net, config.epsilon, rng,
+                                                   in_r, result);
+                        });
 }
 
 }  // namespace pg::core

@@ -12,11 +12,14 @@
 //    potential Φ = Σ_c d_R(c) drops by a constant factor per phase in
 //    expectation (Claim 1), giving O(log n) phases w.h.p., then O(1/ε)
 //    rounds of learning — O(log n + 1/ε) rounds total.
+//
+//  Both end with core/leader.hpp's leader step, node 0 as leader (Lemma 9).
 #pragma once
 
 #include <cstdint>
 
 #include "clique/clique.hpp"
+#include "core/leader.hpp"
 #include "graph/cover.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
@@ -25,7 +28,7 @@ namespace pg::core {
 
 struct MvcCliqueConfig {
   double epsilon = 0.5;
-  bool leader_exact = true;  // exact VC of H at the leader (else 5/3-approx)
+  LeaderSolver leader_solver = LeaderSolver::kExact;
   std::int64_t exact_node_budget = 50'000'000;
 };
 

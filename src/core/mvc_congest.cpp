@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
 #include "congest/primitives.hpp"
-#include "core/mvc_centralized.hpp"
 #include "core/trivial.hpp"
-#include "graph/matching.hpp"
 #include "graph/ops.hpp"
-#include "solvers/exact_vc.hpp"
 
 namespace pg::core {
 
@@ -19,7 +14,6 @@ using congest::Message;
 using congest::Network;
 using congest::NodeId;
 using congest::NodeView;
-using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
 using graph::VertexSet;
@@ -31,31 +25,27 @@ constexpr std::uint8_t kStatus = 1;     // field 0: 1 iff sender is in R
 constexpr std::uint8_t kCandidate = 2;  // field 0: r_c draw (0 when unused)
 constexpr std::uint8_t kMaxCand = 3;    // field 0: max candidate id <=1 hop
 constexpr std::uint8_t kSelect = 4;     // sender was selected as a center
-constexpr std::uint8_t kUStatus = 5;    // field 0: 1 iff sender is in U
 constexpr std::uint8_t kVote = 6;       // field 0: id of chosen candidate
 
-/// Packs an F-edge token: ((u*n + v) << 2) | (u_in_U << 1) | v_in_U.
-std::uint64_t encode_f_edge(std::uint64_t n, VertexId u, VertexId v,
-                            bool u_in_u, bool v_in_u) {
-  const auto a = static_cast<std::uint64_t>(u);
-  const auto b = static_cast<std::uint64_t>(v);
-  return (((a * n) + b) << 2) | (static_cast<std::uint64_t>(u_in_u) << 1) |
-         static_cast<std::uint64_t>(v_in_u);
-}
-
-struct FEdge {
-  VertexId u, v;
-  bool u_in_u, v_in_u;
-};
-
-FEdge decode_f_edge(std::uint64_t n, std::uint64_t token) {
-  FEdge e{};
-  e.v_in_u = token & 1;
-  e.u_in_u = (token >> 1) & 1;
-  const std::uint64_t pair = token >> 2;
-  e.u = static_cast<VertexId>(pair / n);
-  e.v = static_cast<VertexId>(pair % n);
-  return e;
+/// One round in which every node still in R that hears a kSelect joins
+/// the cover; with `announce`, every node then broadcasts its R status.
+/// Joins land in per-node byte flags inside the (possibly parallel)
+/// round — never vector<bool>, which packs 64 nodes per word — and fold
+/// into the shared VertexSet after it.
+void apply_selects(Network& net, std::vector<char>& in_r, bool announce,
+                   VertexSet& cover) {
+  std::vector<char> joined(in_r.size(), 0);
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kSelect && in_r[me] != 0) {
+        in_r[me] = 0;
+        joined[me] = 1;
+      }
+    if (announce) node.broadcast(Message{kStatus, {in_r[me] != 0 ? 1 : 0}});
+  });
+  for (std::size_t v = 0; v < joined.size(); ++v)
+    if (joined[v] != 0) cover.insert(static_cast<VertexId>(v));
 }
 
 /// Deterministic Phase I of Algorithm 1 (max-id-in-2-hops symmetry
@@ -64,37 +54,14 @@ FEdge decode_f_edge(std::uint64_t n, std::uint64_t token) {
 void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
                           MvcCongestResult& result) {
   const std::size_t n = net.n();
-  // Byte flags throughout (never vector<bool>): nodes write their own
-  // entry from inside possibly-parallel rounds, and vector<bool> packs 64
-  // nodes per word.  Cover joins land in a per-node flag and fold into the
-  // shared VertexSet between rounds for the same reason.
-  std::vector<char> in_c(n, 1);
+  std::vector<char> in_c(n, 1);  // byte flags, as in apply_selects
   std::vector<char> is_candidate(n, 0);
-  std::vector<char> joined(n, 0);
-  std::vector<NodeId> max1(n, -1);
-  auto fold_joins = [&] {
-    for (std::size_t v = 0; v < n; ++v)
-      if (joined[v] != 0) {
-        result.cover.insert(static_cast<VertexId>(v));
-        joined[v] = 0;
-      }
-  };
 
   bool any_candidate = true;
   while (any_candidate) {
     // Round 1: apply selections from the previous iteration, then announce
     // R-membership.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;  // joined S
-          joined[me] = 1;
-        }
-      }
-      node.broadcast(Message{kStatus, {in_r[me] != 0 ? 1 : 0}});
-    });
-    fold_joins();
+    apply_selects(net, in_r, /*announce=*/true, result.cover);
 
     // Round 2: count R-neighbors; candidates announce themselves.
     net.round([&](NodeView& node) {
@@ -114,35 +81,13 @@ void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
                                 [](char c) { return c != 0; });
     if (!any_candidate) break;  // quiescence: no centers left anywhere
 
-    // Round 3: spread the max candidate id one hop.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = is_candidate[me] != 0 ? node.id() : -1;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kCandidate) best = std::max(best, in.from);
-      max1[me] = best;
-      node.broadcast(Message{kMaxCand, {best}});
-    });
-
-    // Round 4: compute the 2-hop max; winners notify their neighborhoods.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = max1[me];
-      // Field-count guard + id clamp: adversarial corruption can flip
-      // payload bits (an out-of-range id re-broadcast below would blow the
-      // bandwidth check at small n) or forge the kind of a field-less
-      // message.  Both are identities on fault-free traffic.
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand && in.msg.num_fields >= 1)
-          best = std::max(best, static_cast<NodeId>(std::clamp<std::int64_t>(
-                                    in.msg.at(0), -1,
-                                    static_cast<std::int64_t>(n) - 1)));
-      if (is_candidate[me] != 0 && best == node.id()) {
-        // Selected: N(me) ∩ R joins the cover (learned next round 1).
-        in_c[me] = 0;
-        node.broadcast(Message{kSelect, {}});
-      }
-    });
+    // Rounds 3-4: the 2-hop max candidates are selected; N(c) ∩ R joins
+    // the cover (learned next round 1).
+    const std::vector<char> won = congest::select_two_hop_max(
+        net, is_candidate, kCandidate, kMaxCand,
+        [](NodeId) { return Message{kSelect, {}}; });
+    for (std::size_t v = 0; v < n; ++v)
+      if (won[v] != 0) in_c[v] = 0;
     ++result.iterations;
   }
 }
@@ -161,35 +106,16 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       200 *
       (static_cast<int>(std::ceil(std::log2(std::max<double>(n, 2)))) + 1);
 
-  // Byte flags, not vector<bool> — written per-node from inside the
-  // (possibly parallel) rounds.  Cover joins fold between rounds.
-  std::vector<char> in_c(n, 1);
+  std::vector<char> in_c(n, 1);  // byte flags, as in apply_selects
   std::vector<char> is_candidate(n, 0);
-  std::vector<char> joined(n, 0);
   std::vector<int> r_deg(n, 0);
   std::vector<std::int64_t> draw(n, 0);
-  auto fold_joins = [&] {
-    for (std::size_t v = 0; v < n; ++v)
-      if (joined[v] != 0) {
-        result.cover.insert(static_cast<VertexId>(v));
-        joined[v] = 0;
-      }
-  };
 
   bool any_candidate = true;
   int phases = 0;
   while (any_candidate && phases < phase_cap) {
     // Round 1: apply takes, announce R status.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;
-          joined[me] = 1;
-        }
-      node.broadcast(Message{kStatus, {in_r[me] != 0 ? 1 : 0}});
-    });
-    fold_joins();
+    apply_selects(net, in_r, /*announce=*/true, result.cover);
 
     // Round 2: update d_R; below-threshold centers retire; candidates
     // draw and announce.  Whether a center survives this round depends on
@@ -266,126 +192,8 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
     deterministic_phase1(net, l, in_r, result);
   } else {
     // Drain take messages possibly still in flight from the final phase.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;
-          joined[me] = 1;
-        }
-    });
-    fold_joins();
+    apply_selects(net, in_r, /*announce=*/false, result.cover);
   }
-}
-
-/// Phase II of Algorithm 1: ship F to an elected leader over a BFS tree
-/// (Lemma 2), rebuild H = G^2[U] (Lemma 3), solve, broadcast R*.
-void run_phase2(Network& net, const std::vector<char>& in_u,
-                const MvcCongestConfig& config, MvcCongestResult& result) {
-  const std::size_t n = net.n();
-  std::vector<std::vector<std::uint64_t>> tokens(n);
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    node.broadcast(Message{kUStatus, {in_u[me] != 0 ? 1 : 0}});
-  });
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kUStatus || in.msg.num_fields < 1) continue;
-      const bool nbr_in_u = in.msg.at(0) == 1;
-      if (nbr_in_u)  // v is responsible for its edges into U (Lemma 2)
-        tokens[me].push_back(
-            encode_f_edge(n, node.id(), in.from, in_u[me] != 0, nbr_in_u));
-    }
-  });
-
-  const NodeId leader = congest::elect_min_id_leader(net);
-  const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
-  const std::vector<std::uint64_t> raw =
-      congest::upcast_tokens(net, tree, std::move(tokens));
-
-  // --- leader-local computation (free in the CONGEST model) --------------
-  std::set<std::pair<VertexId, VertexId>> f_edges;
-  std::vector<bool> known_in_u(n, false);
-  std::map<VertexId, std::vector<VertexId>> u_neighbors;  // w -> N(w) ∩ U
-  const bool adversarial = net.faults_active();
-  for (std::uint64_t token : raw) {
-    // A corrupted kToken payload decodes to arbitrary ids; indexing the
-    // leader's tables with them would be out of bounds, so out-of-range
-    // tokens are rejected — an invariant violation unless an adversary is
-    // active, in which case the degraded cover goes to the certifier.
-    if ((token >> 2) / n >= n) {
-      PG_CHECK(adversarial, "F-edge token out of range");
-      continue;
-    }
-    const FEdge e = decode_f_edge(n, token);
-    const auto key = std::minmax(e.u, e.v);
-    f_edges.insert({key.first, key.second});
-    if (e.u_in_u) {
-      known_in_u[static_cast<std::size_t>(e.u)] = true;
-      u_neighbors[e.v].push_back(e.u);
-    }
-    if (e.v_in_u) {
-      known_in_u[static_cast<std::size_t>(e.v)] = true;
-      u_neighbors[e.u].push_back(e.v);
-    }
-  }
-  result.f_edge_count = f_edges.size();
-
-  std::vector<VertexId> u_list;
-  for (std::size_t v = 0; v < n; ++v)
-    if (known_in_u[v]) u_list.push_back(static_cast<VertexId>(v));
-  result.remainder_size = u_list.size();
-
-  std::vector<VertexId> to_h(n, -1);
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h[static_cast<std::size_t>(u_list[i])] = static_cast<VertexId>(i);
-
-  graph::GraphBuilder h_builder(static_cast<VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges) {  // direct edges inside U
-    if (to_h[static_cast<std::size_t>(u)] != -1 &&
-        to_h[static_cast<std::size_t>(v)] != -1)
-      h_builder.add_edge(to_h[static_cast<std::size_t>(u)],
-                         to_h[static_cast<std::size_t>(v)]);
-  }
-  for (auto& [w, nbrs] : u_neighbors) {  // pairs through a common neighbor
-    (void)w;
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        h_builder.add_edge(to_h[static_cast<std::size_t>(nbrs[i])],
-                           to_h[static_cast<std::size_t>(nbrs[j])]);
-  }
-  const Graph h = std::move(h_builder).build();
-
-  VertexSet h_cover(h.num_vertices());
-  switch (config.leader_solver) {
-    case LeaderSolver::kExact: {
-      const solvers::ExactResult exact =
-          solvers::solve_mvc(h, config.exact_node_budget);
-      result.leader_solution_optimal = exact.optimal;
-      h_cover = exact.solution;
-      break;
-    }
-    case LeaderSolver::kFiveThirds:
-      h_cover = five_thirds_cover(h);
-      result.leader_solution_optimal = false;
-      break;
-    case LeaderSolver::kTwoApprox:
-      h_cover = graph::matching_vertex_cover(h);
-      result.leader_solution_optimal = false;
-      break;
-  }
-
-  // --- broadcast R* down the tree ----------------------------------------
-  std::vector<std::uint64_t> solution_tokens;
-  for (VertexId hv : h_cover.to_vector())
-    solution_tokens.push_back(
-        static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto selected = congest::downcast_tokens(net, tree, solution_tokens);
-  for (std::size_t v = 0; v < n; ++v)
-    if (selected[v]) result.cover.insert(static_cast<VertexId>(v));
 }
 
 /// Common driver: trivial-cover early-outs, Phase I via `phase1`, Phase II.
@@ -418,7 +226,13 @@ MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
   result.phase1_rounds = net.stats().rounds;
   result.phase1_cover_size = result.cover.size();
 
-  run_phase2(net, in_r, config, result);  // U = V \ S = R
+  // Phase II: U = V \ S = R.
+  const LeaderSolve leader =
+      run_congest_leader(net, in_r, nullptr, config.leader_solver,
+                         config.exact_node_budget, result.cover);
+  result.f_edge_count = leader.f_edge_count;
+  result.remainder_size = leader.remainder_size;
+  result.leader_solution_optimal = leader.optimal;
   result.phase2_rounds = net.stats().rounds - result.phase1_rounds;
   result.stats = net.stats();
   return result;

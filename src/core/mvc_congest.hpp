@@ -6,9 +6,10 @@
 // neighbors outside the cover (ε' = 1/⌈1/ε⌉) add its whole remaining
 // neighborhood N(c)∩R — a clique in G^2 — to the cover; symmetry is broken
 // by selecting candidates that hold the maximum id in their 2-hop
-// neighborhood (Lemma 5 gives the (1+ε') charge).  Phase II ships the O(n/ε)
-// remaining edges F to a leader over a BFS tree (Lemma 2), which
-// reconstructs H = G^2[U] locally (Lemma 3), solves it, and broadcasts the
+// neighborhood (Lemma 5 gives the (1+ε') charge).  Phase II is the shared
+// leader step of core/leader.hpp: the O(n/ε) remaining edges F travel to a
+// leader over a BFS tree (Lemma 2), which reconstructs H = G^2[U] locally
+// (Lemma 3), solves it with the configured LeaderSolver, and broadcasts the
 // solution.
 //
 // Round counts are measured by the simulator and include leader election,
@@ -18,17 +19,12 @@
 #include <cstdint>
 
 #include "congest/network.hpp"
+#include "core/leader.hpp"
 #include "graph/cover.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
 namespace pg::core {
-
-enum class LeaderSolver {
-  kExact,       // optimal VC of H (Theorem 1 as stated)
-  kFiveThirds,  // centralized 5/3-approximation (Corollary 17)
-  kTwoApprox,   // maximal-matching 2-approximation (cheap baseline)
-};
 
 struct MvcCongestConfig {
   double epsilon = 0.5;

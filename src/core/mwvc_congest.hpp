@@ -11,12 +11,15 @@
 //       W_i − w*_i >= W_i/(1+ε).
 // Zero-weight vertices join the cover for free up front (as the paper
 // assumes w.l.o.g.).  Weights must fit in O(log n) bits; we require
-// w(v) <= n^4.
+// w(v) <= n^4.  Phase II is the shared leader step of core/leader.hpp,
+// with every U node's weight upcast alongside F so the leader solves the
+// weighted H.
 #pragma once
 
 #include <cstdint>
 
 #include "congest/network.hpp"
+#include "core/leader.hpp"
 #include "graph/cover.hpp"
 #include "graph/graph.hpp"
 
@@ -24,7 +27,7 @@ namespace pg::core {
 
 struct MwvcCongestConfig {
   double epsilon = 0.5;
-  bool leader_exact = true;  // exact weighted VC at the leader (else 2-approx)
+  LeaderSolver leader_solver = LeaderSolver::kExact;  // not kFiveThirds
   std::int64_t exact_node_budget = 50'000'000;
 };
 

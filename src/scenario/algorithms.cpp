@@ -102,7 +102,9 @@ std::vector<Algorithm> make_registry() {
          // local-ratio leader keeps cells inside the (2+eps) Theorem 7
          // bound at a bounded wall clock.  The rule depends only on n,
          // so cells stay deterministic.
-         config.leader_exact = ctx.comm.num_vertices() <= 256;
+         config.leader_solver = ctx.comm.num_vertices() <= 256
+                                   ? core::LeaderSolver::kExact
+                                   : core::LeaderSolver::kLocalRatio;
          const graph::VertexWeights unit(ctx.comm.num_vertices(), 1);
          const graph::VertexWeights& w =
              ctx.weights != nullptr ? *ctx.weights : unit;

@@ -526,5 +526,27 @@ TEST(SweepFaults, FaultyJsonShardsMergeByteIdentically) {
   EXPECT_EQ(scenario::merge_json(shards), whole);
 }
 
+TEST(SweepFaults, CorruptMwvcTokensAreDroppedAtTheLeader) {
+  // A corrupted F-edge token can name a U endpoint whose weight token
+  // never arrived.  The leader drops such an edge instead of handing an
+  // out-of-range vertex to the H builder; the rows fail, if at all, on
+  // the primitives' own checks.
+  SweepSpec spec;
+  spec.scenarios = {"chung-lu", "ba", "geo-torus", "tree"};
+  spec.algorithms = {"mwvc"};
+  spec.sizes = {20, 24, 64, 200};
+  spec.seeds = {1, 2};
+  const FaultPlan plan = FaultPlan::parse("corrupt=0.05,net-seed=4");
+  ExecOptions opts;
+  opts.fault_plan = &plan;
+  const std::vector<CellResult> rows = sweep_rows(spec, opts);
+  ASSERT_EQ(rows.size(), 32u);
+  for (const CellResult& row : rows)
+    EXPECT_EQ(row.error.find("edge endpoint out of range"), std::string::npos)
+        << "cell " << row.cell_index << ": " << row.error;
+  // chung-lu, n = 24, seed 1: one such edge was its only fault.
+  EXPECT_EQ(rows[2].status, CellStatus::kOk) << rows[2].error;
+}
+
 }  // namespace
 }  // namespace pg::congest

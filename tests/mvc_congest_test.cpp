@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/leader.hpp"
 #include "core/mvc_congest.hpp"
 #include "core/mwvc_congest.hpp"
 #include "core/trivial.hpp"
@@ -110,13 +111,61 @@ TEST(MvcCongest, LeaderVariantsStayValid) {
   Rng rng(109);
   const Graph g = graph::connected_gnp(24, 0.18, rng);
   for (LeaderSolver solver : {LeaderSolver::kExact, LeaderSolver::kFiveThirds,
-                              LeaderSolver::kTwoApprox}) {
+                              LeaderSolver::kLocalRatio}) {
     MvcCongestConfig config;
     config.epsilon = 0.5;
     config.leader_solver = solver;
     const MvcCongestResult result = solve_g2_mvc_congest(g, config);
     EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover));
   }
+}
+
+TEST(Leader, BuildsHFromCoreTokensAndRejectsOutOfRangeSenders) {
+  // Path 0-1-2-3 with U = {1, 2, 3}: node 0 reports its edge into U, the
+  // U nodes report theirs.  H = G^2[U] is the triangle 1-2-3.
+  const std::size_t n = 4;
+  std::vector<std::uint64_t> tokens = {
+      encode_f_edge(n, 0, 1, false), encode_f_edge(n, 1, 2, true),
+      encode_f_edge(n, 2, 1, true),  encode_f_edge(n, 2, 3, true),
+      encode_f_edge(n, 3, 2, true)};
+  const LeaderSolve solve = solve_at_leader(n, tokens, nullptr,
+                                            LeaderSolver::kExact, 1000, false);
+  EXPECT_EQ(solve.f_edge_count, 3u);
+  EXPECT_EQ(solve.remainder_size, 3u);
+  EXPECT_EQ(solve.cover.size(), 2u);  // two corners of the triangle
+  EXPECT_TRUE(solve.optimal);
+  EXPECT_EQ(solve.dropped_tokens, 0u);
+
+  tokens.push_back(((n * n + 1) << 1) | 1);  // sender n: out of range
+  EXPECT_THROW(solve_at_leader(n, tokens, nullptr, LeaderSolver::kExact, 1000,
+                               false),
+               InvariantViolation);
+  const LeaderSolve faulted = solve_at_leader(
+      n, tokens, nullptr, LeaderSolver::kLocalRatio, 1000, true);
+  EXPECT_EQ(faulted.dropped_tokens, 1u);
+  EXPECT_EQ(faulted.f_edge_count, 3u);
+  EXPECT_FALSE(faulted.optimal);
+}
+
+TEST(Leader, WeightedLeaderDropsEdgesIntoWeightlessVertices) {
+  // U = {1, 2} by weight; node 0 links them in H.  A token claiming an
+  // edge from U-node 1 to vertex 3, which sent no weight, is dropped.
+  const std::size_t n = 4;
+  const std::vector<Weight> u_weight = {-1, 5, 3, -1};
+  const std::vector<std::uint64_t> tokens = {encode_f_edge(n, 0, 1, false),
+                                             encode_f_edge(n, 0, 2, false),
+                                             encode_f_edge(n, 1, 3, true)};
+  EXPECT_THROW(solve_at_leader(n, tokens, &u_weight, LeaderSolver::kExact,
+                               1000, false),
+               InvariantViolation);
+  const LeaderSolve solve = solve_at_leader(n, tokens, &u_weight,
+                                            LeaderSolver::kExact, 1000, true);
+  EXPECT_EQ(solve.dropped_tokens, 1u);
+  EXPECT_EQ(solve.remainder_size, 2u);
+  EXPECT_EQ(solve.cover, (std::vector<VertexId>{2}));  // the lighter end
+  EXPECT_THROW(solve_at_leader(n, tokens, &u_weight,
+                               LeaderSolver::kFiveThirds, 1000, true),
+               PreconditionViolation);
 }
 
 TEST(MvcCongest, CliqueInputNeedsNoPhaseTwoWork) {

@@ -70,7 +70,7 @@ TEST(Scale, WeightedVariantOnTwoHundredVertices) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) w.set(v, rng.next_int(1, 50));
   core::MwvcCongestConfig config;
   config.epsilon = 0.5;
-  config.leader_exact = false;
+  config.leader_solver = core::LeaderSolver::kLocalRatio;
   const auto result = core::solve_g2_mwvc_congest(g, w, config);
   EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover));
 }
@@ -81,7 +81,7 @@ TEST(Scale, RandomizedCliqueOnThreeHundredVertices) {
   const Graph g = graph::connected_gnp(300, 0.08, rng);
   core::MvcCliqueConfig config;
   config.epsilon = 0.25;
-  config.leader_exact = false;
+  config.leader_solver = core::LeaderSolver::kFiveThirds;
   const auto result = core::solve_g2_mvc_clique_randomized(g, alg_rng, config);
   EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover));
   EXPECT_LE(result.phases,
