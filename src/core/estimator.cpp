@@ -63,13 +63,19 @@ EstimateResult estimate_two_hop_counts(Network& net,
   // Quantized draws fit 32 bits (Quantizer clamps bits to 32, so every
   // value — infinity included — is < 2^32); storing them narrow halves
   // the estimator's per-node footprint.  Messages still carry int64.
-  std::vector<std::uint32_t> one_hop_min(n, 0);
-  std::vector<std::uint32_t> my_draw(
-      n, static_cast<std::uint32_t>(quant.infinity));
-  // Round 1's wake list: only members send, and no one else acts on it.
+  const auto infinity = static_cast<std::uint32_t>(quant.infinity);
+  std::vector<std::uint32_t> one_hop_min(n, infinity);
+  std::vector<std::uint32_t> my_draw(n, infinity);
+  // Round 1's and round 2's wake list: only members send in round 1, and
+  // in round 2 a node that is neither a member nor holds a sample has an
+  // infinite one-hop minimum, so it stays silent.
   std::vector<congest::NodeId> members;
   for (std::size_t v = 0; v < n; ++v)
     if (membership[v]) members.push_back(static_cast<congest::NodeId>(v));
+  // Round 3's wake list: the nodes whose one-hop minimum is finite.  They
+  // are also the only entries of one_hop_min that are not infinite, so the
+  // next sample resets just these.
+  std::vector<congest::NodeId> finite;
 
   for (int j = 0; j < samples; ++j) {
     // Round 1: members broadcast a fresh exponential draw.  The draws are
@@ -77,17 +83,20 @@ EstimateResult estimate_two_hop_counts(Network& net,
     // ascending node order inside the step and membership is fixed, so
     // pre-drawing preserves the exact Rng byte stream while keeping the
     // shared generator off the round workers.
-    for (std::size_t v = 0; v < n; ++v)
-      my_draw[v] = static_cast<std::uint32_t>(
-          membership[v] ? quant.encode(rng.next_exponential())
-                        : quant.infinity);
+    for (const congest::NodeId v : members)
+      my_draw[static_cast<std::size_t>(v)] =
+          static_cast<std::uint32_t>(quant.encode(rng.next_exponential()));
     net.round(members, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       if (!membership[me]) return;
       node.broadcast(Message{kSample, {my_draw[me]}});
     });
-    // Round 2: everyone broadcasts the 1-hop minimum (including itself).
-    net.round([&](NodeView& node) {
+    // Round 2: every node with a finite 1-hop minimum (including itself)
+    // broadcasts it.  min(x, ∞) = x, so an infinite minimum would change
+    // no receiver's fold and is not sent.
+    for (const congest::NodeId v : finite)
+      one_hop_min[static_cast<std::size_t>(v)] = infinity;
+    net.round(members, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       std::int64_t best = my_draw[me];
       // Field-count guard + value clamp: adversarial corruption can forge
@@ -98,13 +107,19 @@ EstimateResult estimate_two_hop_counts(Network& net,
         if (in.msg.kind == kSample && in.msg.num_fields >= 1)
           best = std::min(best, std::clamp(in.msg.at(0), std::int64_t{0},
                                            quant.infinity));
+      if (best == quant.infinity) return;
       one_hop_min[me] = static_cast<std::uint32_t>(best);
       node.broadcast(Message{kOneHop, {best}});
     });
+    finite.clear();
+    for (std::size_t v = 0; v < n; ++v)
+      if (one_hop_min[v] != infinity)
+        finite.push_back(static_cast<congest::NodeId>(v));
     // Round 3 (folded into the next sample's round 1 bookkeeping would
     // conflict on tags; one extra round per sample keeps the protocol
-    // simple and still O(log n) total): fold 2-hop minima.
-    net.round([&](NodeView& node) {
+    // simple and still O(log n) total): fold 2-hop minima.  A node with
+    // an infinite one-hop minimum and no mail folds nothing.
+    net.round(finite, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       std::int64_t best = one_hop_min[me];
       for (const Incoming& in : node.inbox())
