@@ -174,77 +174,79 @@ struct MdsGolden {
   bool used_fallback;
 };
 
-// Recorded from the engine that stepped every node in every round.  The
-// power-law rows are the benchmark's congest grid at n = 1000; the small
+// Recorded from the engine that stepped every node in every round; the
+// messages and bits were re-recorded when the estimator stopped
+// broadcasting infinite one-hop minima (every other field is unchanged
+// since the first recording).  The power-law rows are the benchmark's congest grid at n = 1000; the small
 // rows cover the oracle grid's families; the last two cap the phases so
 // the self-join fallback runs.
 constexpr MdsGolden kMdsGolden[] = {
     {"chung-lu", 1000, 1, 0, 105, 0x789c6ab12f60dafbull,
-     10, 2390, 2158046, 80333019, false},
+     10, 2390, 853240, 26835973, false},
     {"chung-lu", 1000, 2, 0, 100, 0x042f9b302c38ffcaull,
-     13, 3107, 2681729, 99880731, false},
+     13, 3107, 972109, 29786311, false},
     {"chung-lu", 1000, 3, 0, 101, 0x8f5e5b764965f6f2ull,
-     14, 3346, 2962111, 110509116, false},
+     14, 3346, 1121011, 35024016, false},
     {"chung-lu", 1000, 4, 0, 107, 0x344f1720e358d24aull,
-     9, 2151, 1989188, 73705555, false},
+     9, 2151, 859904, 27404911, false},
     {"ba", 1000, 1, 0, 47, 0x30b9f79c39f116d1ull,
-     9, 2151, 1898110, 70395786, false},
+     9, 2151, 878912, 28608668, false},
     {"ba", 1000, 2, 0, 47, 0x5bcb668101331acbull,
-     9, 2151, 1929602, 71261660, false},
+     9, 2151, 966416, 31771034, false},
     {"ba", 1000, 3, 0, 50, 0xad24822a10c1f20cull,
-     9, 2151, 1879818, 69903314, false},
+     9, 2151, 793702, 25372558, false},
     {"ba", 1000, 4, 0, 39, 0xae2a00a24b609cd5ull,
-     9, 2151, 1870870, 69786279, false},
+     9, 2151, 756444, 24094813, false},
     {"ba", 24, 7, 0, 3, 0xa940e54f3a8f798aull,
-     2, 298, 9668, 342204, false},
+     2, 298, 7805, 265821, false},
     {"ba", 40, 7, 0, 3, 0x98025f4f30d0e38eull,
-     2, 334, 18096, 645522, false},
+     2, 334, 14716, 506942, false},
     {"ba", 64, 7, 0, 4, 0x7ff5dc98268e6341ull,
-     2, 334, 29583, 1054337, false},
+     2, 334, 24877, 861391, false},
     {"chung-lu", 24, 7, 0, 4, 0x42b168a0907acdd2ull,
-     2, 298, 10992, 386090, false},
+     2, 298, 9566, 327624, false},
     {"chung-lu", 40, 7, 0, 3, 0xa9072e4f3a5e7d4eull,
-     3, 501, 24598, 874365, false},
+     3, 501, 16694, 550301, false},
     {"chung-lu", 64, 7, 0, 5, 0x4905af8557f04f0dull,
-     3, 501, 43010, 1558648, false},
+     3, 501, 32636, 1133314, false},
     {"geo-torus", 24, 7, 0, 4, 0x17c187da9d47df61ull,
-     2, 298, 10540, 378880, false},
+     2, 298, 8562, 297782, false},
     {"geo-torus", 40, 7, 0, 7, 0x9f44fa6fedb61ebcull,
-     3, 501, 26636, 964887, false},
+     3, 501, 18680, 638691, false},
     {"geo-torus", 64, 7, 0, 10, 0xa9dd3dd35ac5cb9cull,
-     2, 334, 32403, 1170770, false},
+     2, 334, 27723, 978890, false},
     {"gnp-sparse", 24, 7, 0, 4, 0xceb3bad2786453b2ull,
-     3, 447, 12887, 461422, false},
+     3, 447, 9161, 308656, false},
     {"gnp-sparse", 40, 7, 0, 5, 0x62cae8b47b9e052bull,
-     2, 334, 17725, 639279, false},
+     2, 334, 14397, 502831, false},
     {"gnp-sparse", 64, 7, 0, 10, 0x0ecaa22b155e26f1ull,
-     2, 334, 27159, 986593, false},
+     2, 334, 23025, 817099, false},
     {"planted", 24, 7, 0, 5, 0x43977986be176511ull,
-     2, 298, 7848, 280541, false},
+     2, 298, 6399, 221132, false},
     {"planted", 40, 7, 0, 3, 0xcc20934f4e608323ull,
-     2, 334, 30580, 1106382, false},
+     2, 334, 25562, 900644, false},
     {"planted", 64, 7, 0, 2, 0x9a691d00c548c9f9ull,
-     2, 334, 75923, 2664318, false},
+     2, 334, 64223, 2184618, false},
     {"regular-4", 24, 7, 0, 4, 0xa7bf0587b4d70eb1ull,
-     2, 298, 10343, 370998, false},
+     2, 298, 8595, 299330, false},
     {"regular-4", 40, 7, 0, 7, 0x379d50615edd7be3ull,
-     2, 334, 20456, 742002, false},
+     2, 334, 18376, 656722, false},
     {"regular-4", 64, 7, 0, 10, 0x4c7313b979a2d0bdull,
-     2, 334, 31768, 1161488, false},
+     2, 334, 27608, 990928, false},
     {"tree", 24, 7, 0, 5, 0x8d423d70c09d4ea3ull,
-     3, 447, 6479, 228792, false},
+     3, 447, 4869, 162782, false},
     {"tree", 40, 7, 0, 8, 0xbee30534eabd0f0aull,
-     4, 668, 14916, 532350, false},
+     4, 668, 10340, 344734, false},
     {"tree", 64, 7, 0, 15, 0xe9905e36eea4725cull,
-     4, 668, 24921, 888953, false},
+     4, 668, 18343, 619255, false},
     {"grid", 24, 7, 0, 6, 0xafab6f26db42b32eull,
-     2, 298, 8487, 302998, false},
+     2, 298, 7107, 246418, false},
     {"grid", 40, 7, 0, 9, 0xf9c4d015d0a0e94aull,
-     3, 501, 20631, 746275, false},
+     3, 501, 14547, 496831, false},
     {"grid", 64, 7, 0, 13, 0x46f18806571fc63aull,
-     4, 668, 41422, 1504397, false},
+     4, 668, 26810, 905305, false},
     {"chung-lu", 1000, 1, 2, 168, 0xf967d0a0a638858eull,
-     2, 478, 703055, 25352196, true},
+     2, 478, 598213, 21053674, true},
     {"tree", 64, 7, 1, 38, 0x184eaee335cf0815ull,
      1, 167, 9150, 320895, true},
 };
@@ -340,10 +342,10 @@ TEST(MdsCongestGolden, FaultedRunsMatchRecordedRuns) {
       EXPECT_EQ(set_hash(ids), 0x9a65ac00c545d41full) << label;
       EXPECT_EQ(result.phases, 2) << label;
       EXPECT_EQ(result.stats.rounds, 334) << label;
-      EXPECT_EQ(result.stats.messages, 16544) << label;
-      EXPECT_EQ(result.stats.total_bits, 585940) << label;
+      EXPECT_EQ(result.stats.messages, 13643) << label;
+      EXPECT_EQ(result.stats.total_bits, 466999) << label;
       EXPECT_FALSE(result.used_fallback) << label;
-      EXPECT_EQ(result.stats.faults, (congest::FaultStats{761, 0, 0, 334}))
+      EXPECT_EQ(result.stats.faults, (congest::FaultStats{622, 0, 0, 334}))
           << label;
     }
     {
@@ -354,10 +356,10 @@ TEST(MdsCongestGolden, FaultedRunsMatchRecordedRuns) {
       EXPECT_THROW(solve_g2_mds_congest(net, rng), PreconditionViolation)
           << label;
       EXPECT_EQ(net.stats().rounds, 17920) << label;
-      EXPECT_EQ(net.stats().messages, 325864) << label;
-      EXPECT_EQ(net.stats().total_bits, 11890503) << label;
+      EXPECT_EQ(net.stats().messages, 251891) << label;
+      EXPECT_EQ(net.stats().total_bits, 8860861) << label;
       EXPECT_EQ(net.stats().faults,
-                (congest::FaultStats{16327, 15683, 3, 17920}))
+                (congest::FaultStats{12655, 12072, 3, 17920}))
           << label;
     }
   }
