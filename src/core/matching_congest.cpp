@@ -1,6 +1,7 @@
 #include "core/matching_congest.hpp"
 
-#include <algorithm>
+#include <span>
+#include <vector>
 
 namespace pg::core {
 
@@ -45,13 +46,23 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
   std::vector<char> nbr_matched(offsets.empty() ? 0 : offsets[n], 0);
   std::vector<std::uint32_t> first_open(n, 0);
 
+  // Round A's wake list: the unmatched nodes that may still have an open
+  // neighbour.  A node that found none or matched never proposes again
+  // (matched flags only turn on), so the list starts as every node and
+  // then keeps the last round's proposers that stayed unmatched.  Only
+  // nodes on it ever read their proposed_to: a sleeping matched node's
+  // stale target reaches neither round B (which it skips) nor the
+  // termination test.
+  std::vector<NodeId> open(n);
+  for (std::size_t v = 0; v < n; ++v) open[v] = static_cast<NodeId>(v);
+
   // Termination: once no unmatched vertex has an unmatched neighbor, no
   // proposals are sent and the loop exits (checked globally, as usual).
-  bool any_proposal = true;
-  while (any_proposal) {
+  while (true) {
     // Round A: absorb match announcements, then propose to the smallest
-    // unmatched neighbor.
-    net.round([&](NodeView& node) {
+    // unmatched neighbor.  Announcement holders off the list step too:
+    // they are matched or have no open neighbour left.
+    net.round(open, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       char* heard = nbr_matched.data() + offsets[me];
       for (const Incoming& in : node.inbox())
@@ -67,15 +78,16 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
         node.send_slot(i, Message{kPropose, {}});
       }
     });
-    // Derived after the barrier instead of set from inside the step: many
-    // nodes writing one shared bool is a data race even when every write
-    // stores the same value.
-    any_proposal = std::any_of(proposed_to.begin(), proposed_to.end(),
-                               [](NodeId p) { return p != -1; });
-    if (!any_proposal) break;
+    // The proposers are filtered after the barrier instead of collected
+    // inside the step: many nodes appending to one shared list would race.
+    std::erase_if(open, [&](NodeId v) {
+      return proposed_to[static_cast<std::size_t>(v)] == -1;
+    });
+    if (open.empty()) break;
 
-    // Round B: mutual proposals match; newly matched announce it.
-    net.round([&](NodeView& node) {
+    // Round B: mutual proposals match; newly matched announce it.  Only
+    // proposal holders act, so the wake list is empty.
+    net.round(std::span<const NodeId>{}, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       if (matched[me] != 0) return;
       bool mutual = false;
@@ -89,6 +101,9 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
       }
     });
     ++result.proposal_rounds;
+    std::erase_if(open, [&](NodeId v) {
+      return matched[static_cast<std::size_t>(v)] != 0;
+    });
   }
 
   // Under an active fault model these invariants are the *expected*

@@ -9,7 +9,10 @@
 // proposals, resolved by id) create matched pairs, which announce
 // themselves.  Each round matches at least one vertex pair incident to
 // every "locally minimal" edge, so the loop terminates after at most n/2
-// selecting rounds with a maximal matching.
+// selecting rounds with a maximal matching.  Both rounds are wake rounds
+// (congest::Network::round): the proposal round steps the unmatched nodes
+// that proposed last time plus the announcement holders, the answer round
+// only the proposal holders.
 #pragma once
 
 #include "congest/network.hpp"

@@ -548,5 +548,26 @@ TEST(SweepFaults, CorruptMwvcTokensAreDroppedAtTheLeader) {
   EXPECT_EQ(rows[2].status, CellStatus::kOk) << rows[2].error;
 }
 
+TEST(SweepFaults, WakeRoundsMatchFullSweepUnderFaults) {
+  // mds and matching step only awake nodes in their wake rounds.  Under
+  // drops, corruption and crash-stops alike, forcing every wake round
+  // back to the full sweep must leave every report byte unchanged (the
+  // faulted MdsCongestGolden pins cover the fanned-out wake rounds).
+  SweepSpec spec;
+  spec.scenarios = {"chung-lu", "ba"};
+  spec.algorithms = {"mds", "matching"};
+  spec.sizes = {24, 40};
+  spec.seeds = {1};
+  spec.exact_baseline_max_n = 0;
+  for (const char* text :
+       {"drop=0.05,net-seed=4", "corrupt=0.05,net-seed=4",
+        "crash@3:40,crash@11:200,crash@0:900,net-seed=5"}) {
+    const FaultPlan plan = FaultPlan::parse(text);
+    const std::string woken = faulty_sweep_csv(spec, plan);
+    const detail::WakeSeam::FullSweep sweep_all;
+    EXPECT_EQ(faulty_sweep_csv(spec, plan), woken) << text;
+  }
+}
+
 }  // namespace
 }  // namespace pg::congest

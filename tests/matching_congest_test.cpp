@@ -1,6 +1,9 @@
 // Tests for the distributed maximal matching (2-approx G-MVC baseline).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "congest/network.hpp"
 #include "core/matching_congest.hpp"
 #include "graph/cover.hpp"
@@ -133,11 +136,18 @@ TEST(MatchingCongest, HubHeavySquarePinnedVertexForVertex) {
       421, 474, 424, 448, 428, 461, 429, 439, 437, 463, 440, 456, 445, 499,
       457, 466, 458, 476, 469, 495, 471, 481, 479, 485, 491, 492};
   // G^2 at n = 500 is far below the fan-out cutoff: force the 3-thread
-  // run onto the worker pool.
+  // run onto the worker pool.  Both rounds are wake rounds; the same pins
+  // hold with every wake round forced back to the full sweep.
   const congest::detail::FanOutSeam::Force force;
   const std::int64_t before =
       congest::detail::FanOutSeam::fanned_out_phases();
-  for (const int threads : {1, 3}) {
+  for (const int mode : {0, 1, 2, 3}) {
+    const int threads = mode % 2 == 0 ? 1 : 3;
+    const bool full_sweep = mode >= 2;
+    std::optional<congest::detail::WakeSeam::FullSweep> sweep_all;
+    if (full_sweep) sweep_all.emplace();
+    const std::string label = std::to_string(threads) + " threads" +
+                              (full_sweep ? ", full sweep" : "");
     congest::Network net(g);
     net.set_threads(threads);
     const auto result = solve_maximal_matching_congest(net);
@@ -146,11 +156,13 @@ TEST(MatchingCongest, HubHeavySquarePinnedVertexForVertex) {
       flat.push_back(e.u);
       flat.push_back(e.v);
     }
-    EXPECT_EQ(flat, pinned) << threads << " threads";
-    EXPECT_EQ(result.proposal_rounds, 54);
-    EXPECT_EQ(result.stats.rounds, 109);
-    EXPECT_EQ(result.stats.messages, 38326);
-    EXPECT_EQ(result.stats.total_bits, 306608);
+    EXPECT_EQ(flat, pinned) << label;
+    EXPECT_EQ(result.proposal_rounds, 54) << label;
+    EXPECT_EQ(result.stats.rounds, 109) << label;
+    EXPECT_EQ(result.stats.messages, 38326) << label;
+    EXPECT_EQ(result.stats.total_bits, 306608) << label;
+    EXPECT_EQ(congest::detail::WakeSeam::sparse_rounds(net) > 0, !full_sweep)
+        << label;
   }
   EXPECT_GT(congest::detail::FanOutSeam::fanned_out_phases(), before);
 }
