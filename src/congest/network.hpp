@@ -324,6 +324,12 @@ class Network {
   /// expected outcome (the sweep's --certify pass re-checks independently);
   /// they must never branch on it in fault-free runs' message logic.
   bool faults_active() const { return faults_enabled_; }
+  /// True iff node `v` has crash-stopped in this run; always false without
+  /// an active fault model.  A crashed node never steps again, so a
+  /// quiescence test that waits on a per-node flag must skip it.
+  bool crashed(NodeId v) const {
+    return faults_enabled_ && crashed_[static_cast<std::size_t>(v)] != 0;
+  }
   const FaultModel& fault_model() const { return fault_model_; }
 
   /// Caps the round counter: the next `round()` call at or past the limit

@@ -118,9 +118,13 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
   const int samples =
       config.estimator_samples > 0 ? config.estimator_samples : 3 * log_n + 8;
 
+  // A crash-stopped node never steps again, so it cannot learn that it is
+  // covered: the loop waits only on the nodes that still run.
   auto all_covered = [&]() {
-    return std::all_of(covered.begin(), covered.end(),
-                       [](char c) { return c != 0; });
+    for (std::size_t v = 0; v < n; ++v)
+      if (covered[v] == 0 && !net.crashed(static_cast<NodeId>(v)))
+        return false;
+    return true;
   };
 
   // Phase-loop scratch, hoisted: at n = 10⁵⁺ re-allocating these every

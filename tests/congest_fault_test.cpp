@@ -548,6 +548,31 @@ TEST(SweepFaults, CorruptMwvcTokensAreDroppedAtTheLeader) {
   EXPECT_EQ(rows[2].status, CellStatus::kOk) << rows[2].error;
 }
 
+TEST(SweepFaults, MdsFinishesUnderCrashStops) {
+  // A crash-stopped node never steps again, so it never learns that it is
+  // covered; the phase loop must not wait on it.  Every cell of this grid
+  // used to run until the round budget.
+  SweepSpec spec;
+  spec.scenarios = {"chung-lu", "ba", "geo-torus", "tree"};
+  spec.algorithms = {"mds"};
+  spec.sizes = {20, 24, 64, 200};
+  spec.seeds = {1, 2};
+  const FaultPlan plan =
+      FaultPlan::parse("crash@3:40,crash@11:200,crash@0:900,net-seed=5");
+  ExecOptions opts;
+  opts.fault_plan = &plan;
+  opts.certify = true;
+  const std::vector<CellResult> rows = sweep_rows(spec, opts);
+  ASSERT_EQ(rows.size(), 32u);
+  std::int64_t crashed = 0;
+  for (const CellResult& row : rows) {
+    EXPECT_EQ(row.status, CellStatus::kOk)
+        << "cell " << row.cell_index << ": " << row.error;
+    crashed += row.nodes_crashed;
+  }
+  EXPECT_GT(crashed, 0) << "the plan was expected to crash nodes";
+}
+
 TEST(SweepFaults, WakeRoundsMatchFullSweepUnderFaults) {
   // mds and matching step only awake nodes in their wake rounds.  Under
   // drops, corruption and crash-stops alike, forcing every wake round

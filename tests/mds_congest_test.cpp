@@ -312,10 +312,12 @@ TEST(MdsCongestGolden, RunsMatchRecordedRuns) {
 
 TEST(MdsCongestGolden, FaultedRunsMatchRecordedRuns) {
   // Drops alone: the run completes, and its result and fault counts are
-  // pinned.  Drops, corruption and three crash-stops: a crashed node that
-  // was never covered stays uncovered, so the phase loop runs until the
-  // simulator's round budget (64n + 16384) stops it; the traffic and fault
-  // counts up to that point are pinned instead.
+  // pinned.  Drops, corruption and three crash-stops: the phase loop no
+  // longer waits on the crashed nodes, but under this corruption it still
+  // does not converge (the same plan without corruption ends in two
+  // phases), so it runs until the simulator's round budget (64n + 16384)
+  // stops it; the traffic and fault counts up to that point are pinned
+  // instead.
   const Graph g40 = scenario::scenario_or_throw("chung-lu").build(40, 5);
   const Graph g24 = scenario::scenario_or_throw("chung-lu").build(24, 5);
   congest::FaultModel drops;
