@@ -207,6 +207,12 @@ TEST(Pgcsr, RejectsStructuralViolationsBehindValidChecksums) {
   // Slots into an empty last row: the cursor must stop at the row's end
   // rather than read past the adjacency section.
   expect_structural_rejection({0, 1, 2, 2}, {2, 2}, "not symmetric");
+  // Vertex 0's two slots point into the two empty rows after it, so both
+  // symmetric partners would sit past their row ends.  Past those ends
+  // lie only the bytes after the adjacency section, which a mapped file
+  // reads as zero, vertex 0's own id: only the end-of-row bound rejects
+  // this file.
+  expect_structural_rejection({0, 2, 2, 2}, {1, 2}, "not symmetric");
   // An unsorted row (a symmetric triangle with row 0 reversed).
   expect_structural_rejection({0, 2, 4, 6}, {2, 1, 0, 2, 0, 1},
                               "not strictly sorted");
