@@ -11,12 +11,14 @@
 #include <istream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 #include "congest/network.hpp"
+#include "core/estimator.hpp"
 #include "core/gr_mvc.hpp"
 #include "core/gr_mwvc.hpp"
 #include "graph/generators.hpp"
@@ -359,6 +361,33 @@ BENCHMARK(BM_CongestRoundThreads)
         for (const int n : {1000, 10000, 100000})
           for (const int threads : {1, 2, 4}) b->Args({n, threads, bcast});
     })
+    ->Unit(benchmark::kMicrosecond);
+
+// One Lemma 29 estimator call (its default 3·⌈log₂ n⌉ + 8 samples, three
+// rounds each) on the linked Chung-Lu graph of BM_CongestRoundThreads,
+// the layer mds re-runs every phase.  Args: {n, members}; members 100 =
+// every node is a member (mds's first phase), 10 = every tenth node (a
+// late phase, where most nodes have no member within one hop and stay
+// silent in the sample's second round).  Items are samples.
+void BM_EstimatorSample(benchmark::State& state) {
+  Rng rng(7);
+  const Graph g = graph::link_components(graph::chung_lu(
+      static_cast<graph::VertexId>(state.range(0)), 2.5, 4.0, rng));
+  congest::Network net(g);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const std::size_t stride = state.range(1) == 100 ? 1 : 10;
+  std::vector<bool> membership(n, false);
+  for (std::size_t v = 0; v < n; v += stride) membership[v] = true;
+  Rng alg_rng(11);
+  int samples = 0;
+  for (auto _ : state)
+    samples = pg::core::estimate_two_hop_counts(net, membership, alg_rng)
+                  .samples;
+  state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_EstimatorSample)
+    ->ArgNames({"n", "members"})
+    ->ArgsProduct({{1000, 10000}, {100, 10}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
