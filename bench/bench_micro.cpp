@@ -1,7 +1,7 @@
-// E13 — substrate micro-benchmarks (google-benchmark): graph squaring,
-// generators, edge-list import and `.pgcsr` mapping, implicit G^r probes,
-// exact solvers, and simulator round overhead.  These are the operations
-// every experiment binary leans on.
+// Substrate micro-benchmarks (google-benchmark): graph squaring,
+// generators, edge-list import and the `.pgcsr` write and map layer,
+// implicit G^r probes, exact solvers, and simulator round overhead.  These
+// are the operations every `powergraph_cli` sweep leans on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <istream>
+#include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -116,19 +117,48 @@ void BM_ImportEdgeList(benchmark::State& state) {
 }
 BENCHMARK(BM_ImportEdgeList)->Apply(ingest_args);
 
-// Opens (maps, checksums and validates) the `.pgcsr` file the import of
-// the same text writes.
-void BM_MapPgcsr(benchmark::State& state) {
+/// The graph the import of the bench's text builds.
+Graph imported_graph(const benchmark::State& state) {
   const std::string text = chung_lu_text(state.range(0), state.range(1) == 1);
   StringSource source(text);
   std::istream in(&source);
+  return graph::import_edge_list(in).graph;
+}
+
+/// Writes imported_graph(state) as a `.pgcsr` file in the temp directory
+/// and returns its path; the caller removes the file.
+std::string imported_pgcsr_file(const benchmark::State& state) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("pg_bench_map_" + std::to_string(state.range(0)) + "_" +
         std::to_string(state.range(1)) + "_" +
         std::to_string(static_cast<long>(::getpid())) + ".pgcsr"))
           .string();
-  graph::write_pgcsr_file(graph::import_edge_list(in).graph, path);
+  graph::write_pgcsr_file(imported_graph(state), path);
+  return path;
+}
+
+// Serializes the imported graph as `.pgcsr` bytes (header, CSR arrays and
+// checksums) into memory, so no disk write is timed.
+void BM_WritePgcsr(benchmark::State& state) {
+  const Graph g = imported_graph(state);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream out;
+    graph::write_pgcsr(g, out);
+    bytes = out.view().size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["edges"] = static_cast<double>(g.num_edges());
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WritePgcsr)->Apply(ingest_args);
+
+// Opens (maps, checksums and validates) the `.pgcsr` file the import of
+// the same text writes.
+void BM_MapPgcsr(benchmark::State& state) {
+  const std::string path = imported_pgcsr_file(state);
   std::size_t edges = 0;
   for (auto _ : state) {
     const graph::MappedGraph mapped = graph::MappedGraph::open(path);
@@ -139,6 +169,21 @@ void BM_MapPgcsr(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(edges);
 }
 BENCHMARK(BM_MapPgcsr)->Apply(ingest_args);
+
+// BM_MapPgcsr plus a copy of the mapped CSR into an owned Graph: the cost
+// a run on a `.pgcsr` file would pay if it could not use the mapping.
+void BM_MapFileToOwnedCopy(benchmark::State& state) {
+  const std::string path = imported_pgcsr_file(state);
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const graph::MappedGraph mapped = graph::MappedGraph::open(path);
+    edges = Graph::copy_of(mapped.view()).num_edges();
+    benchmark::DoNotOptimize(edges);
+  }
+  std::remove(path.c_str());
+  state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_MapFileToOwnedCopy)->Apply(ingest_args);
 
 // Empties this thread's exact-solver memo, so a bench that solves the same
 // instance every iteration keeps timing the search, not a memo hit.

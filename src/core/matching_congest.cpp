@@ -86,10 +86,18 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
     if (open.empty()) break;
 
     // Round B: mutual proposals match; newly matched announce it.  Only
-    // proposal holders act, so the wake list is empty.
+    // proposal holders act, so the wake list is empty.  A node matched
+    // earlier is proposed to only after its announcement was lost (never
+    // fault-free); it repeats kMatched to the proposer, which would
+    // otherwise propose again until the round budget.
     net.round(std::span<const NodeId>{}, [&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
-      if (matched[me] != 0) return;
+      if (matched[me] != 0) {
+        for (const Incoming& in : node.inbox())
+          if (in.msg.kind == kPropose)
+            node.send_slot(in.reply_slot, Message{kMatched, {}});
+        return;
+      }
       bool mutual = false;
       for (const Incoming& in : node.inbox())
         if (in.msg.kind == kPropose && in.from == proposed_to[me])

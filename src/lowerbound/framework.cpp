@@ -1,7 +1,6 @@
 #include "lowerbound/framework.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pg::lowerbound {
 
@@ -19,14 +18,6 @@ std::size_t cut_size(const LowerBoundGraph& lb) {
       ++cut;
   });
   return cut;
-}
-
-double implied_round_lower_bound(std::size_t cc_bits, std::size_t cut,
-                                 std::size_t n) {
-  PG_REQUIRE(cut > 0 && n >= 2, "cut and n must be positive");
-  const double log_n = std::ceil(std::log2(static_cast<double>(n)));
-  return static_cast<double>(cc_bits) /
-         (static_cast<double>(cut) * log_n);
 }
 
 namespace {

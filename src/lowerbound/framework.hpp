@@ -27,10 +27,6 @@ struct LowerBoundGraph {
 /// |E(V_A, V_B)| — the communication cut.
 std::size_t cut_size(const LowerBoundGraph& lb);
 
-/// Theorem 19's implied round bound: CC / (cut · ⌈log2 n⌉).
-double implied_round_lower_bound(std::size_t cc_bits, std::size_t cut,
-                                 std::size_t n);
-
 /// Definition 18 conditions 1–2, checked mechanically: edges that differ
 /// between two members built from different x (same y) must lie within
 /// V_A × V_A, and symmetrically for y.  `other` must share the partition.

@@ -37,8 +37,4 @@ std::string fmt(double value, int decimals) {
   return out.str();
 }
 
-void banner(const std::string& title, std::ostream& out) {
-  out << '\n' << "== " << title << " ==" << '\n';
-}
-
 }  // namespace pg

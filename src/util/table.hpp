@@ -1,5 +1,5 @@
-// Minimal fixed-width table printer used by the experiment benches so that
-// every table/figure reproduction prints in a uniform, diffable format.
+// Minimal fixed-width table printer for `powergraph_cli`'s list commands
+// (scenarios, algorithms, weightings).
 #pragma once
 
 #include <iostream>
@@ -27,8 +27,5 @@ class Table {
 
 /// Formats a double with the given number of decimals.
 std::string fmt(double value, int decimals = 3);
-
-/// Prints a section banner used by benches ("== E4: ... ==").
-void banner(const std::string& title, std::ostream& out = std::cout);
 
 }  // namespace pg

@@ -573,6 +573,34 @@ TEST(SweepFaults, MdsFinishesUnderCrashStops) {
   EXPECT_GT(crashed, 0) << "the plan was expected to crash nodes";
 }
 
+TEST(SweepFaults, MatchingFinishesUnderDrops) {
+  // A node whose kMatched announcement was lost or garbled keeps being
+  // proposed to; the matched node answers each proposal with kMatched, so
+  // the proposer moves on.  Every cell of this grid used to run until the
+  // round budget.  The rows may still certify as unverified: a dropped
+  // announcement can leave a one-sided match or an uncovered edge.
+  SweepSpec spec;
+  spec.scenarios = {"chung-lu", "ba", "geo-torus", "tree"};
+  spec.algorithms = {"matching"};
+  spec.sizes = {20, 24, 64, 200};
+  spec.seeds = {1, 2};
+  for (const char* text : {"drop=0.05,net-seed=4", "corrupt=0.05,net-seed=4"}) {
+    const FaultPlan plan = FaultPlan::parse(text);
+    ExecOptions opts;
+    opts.fault_plan = &plan;
+    opts.certify = true;
+    const std::vector<CellResult> rows = sweep_rows(spec, opts);
+    ASSERT_EQ(rows.size(), 32u) << text;
+    for (const CellResult& row : rows) {
+      EXPECT_EQ(row.error.find("round budget"), std::string::npos)
+          << text << ", cell " << row.cell_index << ": " << row.error;
+      EXPECT_TRUE(row.status == CellStatus::kOk ||
+                  row.status == CellStatus::kUnverified)
+          << text << ", cell " << row.cell_index << ": " << row.error;
+    }
+  }
+}
+
 TEST(SweepFaults, WakeRoundsMatchFullSweepUnderFaults) {
   // mds and matching step only awake nodes in their wake rounds.  Under
   // drops, corruption and crash-stops alike, forcing every wake round

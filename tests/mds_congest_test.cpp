@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -79,25 +80,39 @@ TEST(MdsCongest, ValidDominatingSetOfSquare) {
     EXPECT_TRUE(graph::is_dominating_set_of_square(g, result.dominating_set))
         << "trial " << trial;
   }
+  // Barbells squeeze Theta(k^2) far edges through one bridge: the inputs
+  // on which the naive full gather pays rounds that grow with m.
+  for (VertexId k : {16, 32, 48}) {
+    const Graph g = graph::barbell(k, 16);
+    const MdsCongestResult result = solve_g2_mds_congest(g, alg_rng);
+    EXPECT_TRUE(graph::is_dominating_set_of_square(g, result.dominating_set))
+        << "barbell k=" << k;
+  }
 }
 
 TEST(MdsCongest, ApproximationIsLogarithmic) {
   Rng rng(421);
   Rng alg_rng(6006);
-  double worst_ratio = 0;
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = graph::connected_gnp(36, 0.1, rng);
+  std::vector<std::pair<std::string, Graph>> instances;
+  for (int trial = 0; trial < 5; ++trial)
+    instances.emplace_back("gnp36/" + std::to_string(trial),
+                           graph::connected_gnp(36, 0.1, rng));
+  instances.emplace_back("path40", graph::path_graph(40));
+  instances.emplace_back("cycle36", graph::cycle_graph(36));
+  instances.emplace_back("grid6x6", graph::grid_graph(6, 6));
+  instances.emplace_back("disk36", graph::connected_unit_disk(36, 0.22, rng));
+  for (const auto& [name, g] : instances) {
     const MdsCongestResult result = solve_g2_mds_congest(g, alg_rng);
     const Weight opt = solvers::solve_mds(graph::square(g)).value;
-    ASSERT_GT(opt, 0);
-    worst_ratio = std::max(
-        worst_ratio, static_cast<double>(result.dominating_set.size()) /
-                         static_cast<double>(opt));
+    ASSERT_GT(opt, 0) << name;
+    // O(log Δ) with the paper's constants is ~8·H(Δ2 + 1) ([CD18]), Δ2
+    // the maximum degree of G^2.  Every instance here has Δ2 >= 4, so that
+    // envelope is at least 8·H(5) ≈ 18.3; measured ratios stay far below
+    // it, and we assert the tighter flat 8.
+    EXPECT_LE(static_cast<double>(result.dominating_set.size()),
+              8.0 * static_cast<double>(opt))
+        << name;
   }
-  // O(log Δ) with the paper's constants is ~8·H(Δ^2); these instances have
-  // Δ^2 up to ~36, i.e. bound ≈ 8·ln(36) ≈ 28.  Measured ratios should be
-  // far below that; we assert a conservative envelope.
-  EXPECT_LE(worst_ratio, 8.0);
 }
 
 TEST(MdsCongest, PolylogRoundsOnPaths) {

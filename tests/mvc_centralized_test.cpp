@@ -17,18 +17,36 @@ using graph::VertexId;
 using graph::VertexSet;
 using graph::Weight;
 
-void expect_five_thirds(const Graph& g, const char* label) {
+LocalRatioParts expect_five_thirds(const Graph& g, const char* label) {
   LocalRatioParts parts;
   const VertexSet cover = five_thirds_mvc_of_square(g, &parts);
   EXPECT_TRUE(graph::is_vertex_cover_of_square(g, cover)) << label;
   const Weight opt = solvers::solve_mvc(graph::square(g)).value;
   if (opt == 0) {
     EXPECT_EQ(cover.size(), 0u) << label;
-    return;
+    return parts;
   }
   // 3·|S| <= 5·OPT, checked in integers.
   EXPECT_LE(3 * static_cast<Weight>(cover.size()), 5 * opt) << label;
   EXPECT_EQ(parts.s1 + parts.s2 + parts.s3, cover.size()) << label;
+  // Lemma 14: s1 >= (3/2)|V_R'|, and part 3 takes at most all of V_R'.
+  EXPECT_GE(2 * parts.s1, 3 * parts.s3) << label;
+  return parts;
+}
+
+/// K_{a,b} with every edge subdivided once, subdivision vertices first.
+/// For a = 4, b = 6 part 1 eats the subdivision cliques of its square and
+/// leaves the originals as a triangle-free graph of minimum degree >= 4,
+/// so part 3 runs and Lemma 14's bound is not vacuous.
+Graph subdivided_complete_bipartite(VertexId a, VertexId b) {
+  const VertexId m = a * b;
+  graph::GraphBuilder builder(m + a + b);
+  for (VertexId i = 0; i < a; ++i)
+    for (VertexId j = 0; j < b; ++j) {
+      builder.add_edge(m + i, i * b + j);
+      builder.add_edge(i * b + j, m + a + j);
+    }
+  return std::move(builder).build();
 }
 
 TEST(FiveThirds, StructuredFamilies) {
@@ -43,6 +61,9 @@ TEST(FiveThirds, StructuredFamilies) {
   expect_five_thirds(graph::grid_graph(4, 4), "grid4x4");
   expect_five_thirds(graph::caterpillar(4, 3), "caterpillar");
   expect_five_thirds(graph::barbell(5, 3), "barbell");
+  const LocalRatioParts parts = expect_five_thirds(
+      subdivided_complete_bipartite(4, 6), "subdivided K4,6");
+  EXPECT_GT(parts.s3, 0u) << "part 3 must run for Lemma 14 to be checked";
 }
 
 TEST(FiveThirds, RandomFamilies) {

@@ -64,14 +64,21 @@ TEST(MvcCliqueDeterministic, ValidAndWithinFactor) {
   Rng rng(301);
   for (int trial = 0; trial < 6; ++trial) {
     const Graph g = graph::connected_gnp(20, 0.2, rng);
-    MvcCliqueConfig config;
-    config.epsilon = 0.5;
-    const MvcCliqueResult result =
-        solve_g2_mvc_clique_deterministic(g, config);
-    EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover));
     const Weight opt = solvers::solve_mvc(graph::square(g)).value;
-    EXPECT_LE(static_cast<double>(result.cover.size()),
-              1.5 * static_cast<double>(opt) + 1e-9);
+    // ε = 1/sqrt(n) is Corollary 10's O(sqrt(n))-round setting.
+    for (double eps : {0.5, 1.0 / std::sqrt(20.0)}) {
+      MvcCliqueConfig config;
+      config.epsilon = eps;
+      const MvcCliqueResult result =
+          solve_g2_mvc_clique_deterministic(g, config);
+      EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover))
+          << "eps=" << eps;
+      EXPECT_LE(static_cast<double>(result.cover.size()),
+                (1.0 + 1.0 / std::ceil(1.0 / eps)) *
+                        static_cast<double>(opt) +
+                    1e-9)
+          << "eps=" << eps;
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 // optimum, round bounds, and the Phase I invariants (Lemmas 2, 5, 8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/leader.hpp"
 #include "core/mvc_congest.hpp"
@@ -244,6 +247,20 @@ TEST(MvcCongestRandomized, PhaseOneFinishesInLogPhases) {
               10 * static_cast<int>(std::log2(static_cast<double>(n))) + 10)
         << "n=" << n;
   }
+  // Dense enough that centers exceed the voting threshold 8/ε + 2 = 18.
+  for (graph::VertexId n : {128, 256}) {
+    const Graph g = graph::connected_gnp(n, 48.0 / n, rng);
+    MvcCongestConfig config;
+    config.epsilon = 0.5;
+    config.leader_solver = LeaderSolver::kFiveThirds;
+    const MvcCongestResult result =
+        solve_g2_mvc_congest_randomized(g, alg_rng, config);
+    EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover))
+        << "dense n=" << n;
+    EXPECT_LE(result.iterations,
+              10 * static_cast<int>(std::log2(static_cast<double>(n))) + 10)
+        << "dense n=" << n;
+  }
 }
 
 // ------------------------------------------------------------- weighted ---
@@ -252,19 +269,37 @@ TEST(MwvcCongest, CoverIsValidAndWithinFactor) {
   Rng rng(211);
   for (const auto& inst : small_instances()) {
     VertexWeights w(inst.g.num_vertices());
-    for (VertexId v = 0; v < inst.g.num_vertices(); ++v)
+    Weight w_min = 20, w_max = 1;
+    for (VertexId v = 0; v < inst.g.num_vertices(); ++v) {
       w.set(v, rng.next_int(1, 20));
-    MwvcCongestConfig config;
-    config.epsilon = 0.5;
-    const MwvcCongestResult result =
-        solve_g2_mwvc_congest(inst.g, w, config);
-    EXPECT_TRUE(graph::is_vertex_cover_of_square(inst.g, result.cover))
-        << inst.name;
+      w_min = std::min(w_min, w[v]);
+      w_max = std::max(w_max, w[v]);
+    }
+    // Lemma 8: after Phase I a vertex keeps fewer than 2(l+1) neighbors
+    // in U per weight class, and weights in [w_min, w_max] fall into at
+    // most floor(log2(w_max / w_min)) + 1 classes.
+    const auto classes = static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(w_max / w_min)));
     const Weight opt =
         solvers::solve_mwvc(graph::square(inst.g), w).value;
-    EXPECT_LE(static_cast<double>(result.cover.weight(w)),
-              1.5 * static_cast<double>(opt) + 1e-9)
-        << inst.name;
+    for (double eps : {0.5, 0.25}) {
+      MwvcCongestConfig config;
+      config.epsilon = eps;
+      const MwvcCongestResult result =
+          solve_g2_mwvc_congest(inst.g, w, config);
+      EXPECT_TRUE(graph::is_vertex_cover_of_square(inst.g, result.cover))
+          << inst.name << " eps=" << eps;
+      EXPECT_LE(static_cast<double>(result.cover.weight(w)),
+                (1.0 + 1.0 / result.epsilon_inverse) *
+                        static_cast<double>(opt) +
+                    1e-9)
+          << inst.name << " eps=" << eps;
+      const auto l = static_cast<std::size_t>(result.epsilon_inverse);
+      EXPECT_LE(result.f_edge_count,
+                static_cast<std::size_t>(inst.g.num_vertices()) * 2 *
+                    (l + 1) * classes)
+          << inst.name << " eps=" << eps;
+    }
   }
 }
 

@@ -104,16 +104,24 @@ TEST(Conditional, AchievesOnePlusDelta) {
 
 TEST(Conditional, GadgetBranchFiresForSmallAlpha) {
   // With a hypothetical alpha = 0.1 algorithm, beta drops below gamma on a
-  // dense instance, so the dangling-path reduction branch runs end to end.
+  // dense instance at delta = 1/2, so the dangling-path reduction branch
+  // runs end to end; at delta = 1/4 the same instance takes the
+  // parameterized branch.  Both stay within 1 + delta.
   Rng rng(617);
   const Graph g = graph::connected_gnp(40, 0.6, rng);
-  const ConditionalResult result = conditional_mvc_approx(g, 0.5, 0.1);
-  EXPECT_FALSE(result.used_parameterized_branch);
-  EXPECT_GT(result.h_vertices, static_cast<std::size_t>(g.num_vertices()));
-  EXPECT_TRUE(graph::is_vertex_cover(g, result.cover));
   const Weight opt = solvers::solve_mvc(g).value;
-  EXPECT_LE(static_cast<double>(result.cover.size()),
-            1.5 * static_cast<double>(opt) + 1e-9);
+  for (double delta : {0.5, 0.25}) {
+    const ConditionalResult result = conditional_mvc_approx(g, delta, 0.1);
+    const bool gadget = delta == 0.5;
+    EXPECT_EQ(result.used_parameterized_branch, !gadget) << "delta=" << delta;
+    if (gadget) {
+      EXPECT_GT(result.h_vertices, static_cast<std::size_t>(g.num_vertices()));
+    }
+    EXPECT_TRUE(graph::is_vertex_cover(g, result.cover)) << "delta=" << delta;
+    EXPECT_LE(static_cast<double>(result.cover.size()),
+              (1.0 + delta) * static_cast<double>(opt) + 1e-9)
+        << "delta=" << delta;
+  }
 }
 
 TEST(Conditional, RejectsBadParameters) {
